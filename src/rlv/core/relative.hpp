@@ -15,11 +15,13 @@
 // Also provides classical satisfaction L_ω ⊆ P and the Theorem 4.7
 // decomposition (satisfaction ⟺ relative liveness ∧ relative safety).
 //
-// All entry points take an optional Budget. When the budget trips inside a
-// kernel, every entry point — including satisfies() — catches the
-// ResourceExhausted and returns a result with `exhausted` set to the
-// tripping stage and `holds` left false. A result with `exhausted` engaged
-// carries NO verdict and must not be read as a boolean answer.
+// Each check is stated once, as a decide_* function over automata the
+// caller has built (behaviors, pre(L_ω), P, ¬P) that lets a tripped
+// Budget's ResourceExhausted propagate. The other entry points wrap them:
+// they build those automata and turn the throw into a result with
+// `exhausted` set to the tripping stage and `holds` left false. A result
+// with `exhausted` engaged carries NO verdict and must not be read as a
+// boolean answer.
 //
 // The safety and satisfaction checks explore their Büchi products on the
 // fly (find_accepting_lasso_product / product_empty), so they only pay for
@@ -100,5 +102,27 @@ struct SatisfactionResult {
 [[nodiscard]] SatisfactionResult satisfies(const Buchi& system, Formula f,
                                            const Labeling& lambda,
                                            Budget* budget = nullptr);
+
+// ---------------------------------------------------------------------------
+// The checks over prebuilt automata, for callers that cache them (rlv::Engine
+// drops an entry whose computation threw).
+
+/// Lemma 4.3 over prebuilt automata: pre(behaviors) ⊆ pre(behaviors ∩ P),
+/// where `pre_behaviors` is prefix_nfa(behaviors). Throws ResourceExhausted.
+[[nodiscard]] RelativeLivenessResult decide_relative_liveness(
+    const Buchi& behaviors, const Nfa& pre_behaviors, const Buchi& property,
+    InclusionAlgorithm algorithm, Budget* budget,
+    std::size_t inclusion_threads);
+
+/// Lemma 4.4 over prebuilt automata: behaviors ∩ lim(pre(behaviors ∩ P)) ∩
+/// ¬P = ∅. Throws ResourceExhausted.
+[[nodiscard]] RelativeSafetyResult decide_relative_safety(
+    const Buchi& behaviors, const Buchi& property,
+    const Buchi& negated_property, Budget* budget);
+
+/// Definition 3.2 over prebuilt automata: behaviors ∩ ¬P = ∅. Throws
+/// ResourceExhausted.
+[[nodiscard]] SatisfactionResult decide_satisfaction(
+    const Buchi& behaviors, const Buchi& negated_property, Budget* budget);
 
 }  // namespace rlv

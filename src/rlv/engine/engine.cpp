@@ -9,20 +9,18 @@
 #include <stdexcept>
 
 #include "rlv/cert/certificate.hpp"
+#include "rlv/core/relative.hpp"
 #include "rlv/engine/fingerprint.hpp"
 #include "rlv/engine/thread_pool.hpp"
 #include "rlv/fair/fair_check.hpp"
 #include "rlv/io/format.hpp"
-#include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/parser.hpp"
-#include "rlv/monitor/session.hpp"
 #include "rlv/ltl/translate.hpp"
+#include "rlv/monitor/session.hpp"
 #include "rlv/omega/complement.hpp"
-#include "rlv/omega/emptiness.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
-#include "rlv/omega/product.hpp"
 #include "rlv/util/hash.hpp"
 
 namespace rlv {
@@ -99,16 +97,21 @@ struct TranslationKeyHash {
   }
 };
 
-struct PropertyKey {
-  std::uint64_t text;     // fingerprint of the raw automaton text
-  const void* alphabet;   // target alphabet identity
+/// A fingerprint bound to one alphabet object: property automata are
+/// remapped onto, and pre(L_ω) is trimmed from, the alphabet of one cached
+/// behaviors automaton. The cached value holds that alphabet, so its
+/// address cannot be reused while the entry lives.
+struct AlphabetBoundKey {
+  std::uint64_t fingerprint;  // of the automaton text, or of the system
+  const void* alphabet;       // target alphabet identity
 
-  friend bool operator==(const PropertyKey&, const PropertyKey&) = default;
+  friend bool operator==(const AlphabetBoundKey&,
+                         const AlphabetBoundKey&) = default;
 };
 
-struct PropertyKeyHash {
-  std::size_t operator()(const PropertyKey& k) const {
-    return hash_combine(std::hash<std::uint64_t>{}(k.text),
+struct AlphabetBoundKeyHash {
+  std::size_t operator()(const AlphabetBoundKey& k) const {
+    return hash_combine(std::hash<std::uint64_t>{}(k.fingerprint),
                         std::hash<const void*>{}(k.alphabet));
   }
 };
@@ -233,9 +236,10 @@ struct Engine::Impl {
   EngineOptions options;
   MemoCache<std::uint64_t, ParsedSystem> systems;
   MemoCache<std::uint64_t, Buchi> behaviors;
-  MemoCache<std::uint64_t, Nfa> prefixes;
+  MemoCache<AlphabetBoundKey, Nfa, AlphabetBoundKeyHash> prefixes;
   MemoCache<TranslationKey, Buchi, TranslationKeyHash> translations;
-  MemoCache<PropertyKey, ParsedProperty, PropertyKeyHash> properties;
+  MemoCache<AlphabetBoundKey, ParsedProperty, AlphabetBoundKeyHash>
+      properties;
   MemoCache<VerdictKey, Verdict, VerdictKeyHash> verdicts;
   MemoCache<MonitorKey, monitor::MonitorAutomaton, MonitorKeyHash> monitors;
   /// The streaming-session state. One mutex guards the table: the hot path
@@ -268,56 +272,83 @@ struct Engine::Impl {
     });
   }
 
-  std::shared_ptr<const ParsedProperty> property(const std::string& text,
-                                                 const AlphabetRef& sigma,
-                                                 Budget* budget) {
-    const PropertyKey key{fingerprint_text(text), sigma.get()};
-    return properties.get_or_compute(key, [&] {
-      StageScope scope(budget, Stage::kParse);
-      Buchi raw = parse_buchi(text);
-      Buchi remapped =
-          Buchi::from_structure(remap_alphabet(raw.structure(), sigma));
-      const std::uint64_t fp = fingerprint_buchi(remapped);
-      return ParsedProperty{std::move(remapped), fp};
+  /// The cached lim(L) of a parsed system. The entry is keyed by structure,
+  /// so it may have been built from another text with its own alphabet
+  /// object: everything a query derives is bound to *this* automaton's
+  /// alphabet, never to the query's own parse.
+  std::shared_ptr<const Buchi> cached_behaviors(const ParsedSystem& sys,
+                                                Budget* budget) {
+    return behaviors.get_or_compute(sys.fingerprint, [&] {
+      StageScope scope(budget, Stage::kPreTrim);
+      return limit_of_prefix_closed(sys.nfa);
     });
   }
 
-  std::shared_ptr<const Buchi> negated_property(
-      const std::shared_ptr<const ParsedProperty>& prop, Budget* budget) {
-    // Not memoized on its own: the verdict cache already absorbs repeats,
-    // so a complement is only rebuilt when the whole verdict is uncached.
-    return std::make_shared<const Buchi>(
-        complement_buchi(prop->automaton, budget));
+  /// A query's or monitor spec's inputs, resolved through the caches.
+  struct Resolved {
+    std::shared_ptr<const ParsedSystem> system;
+    std::optional<Formula> formula;
+    /// Automaton flavor only: the cached behaviors and the property
+    /// remapped onto their alphabet. A formula query fetches its behaviors
+    /// only when its verdict is not cached.
+    std::shared_ptr<const Buchi> behaviors;
+    std::shared_ptr<const ParsedProperty> property;
+  };
+
+  Resolved resolve(const std::string& system_text, const std::string& formula,
+                   const std::string& property_automaton, Budget* budget) {
+    Resolved r;
+    {
+      StageScope scope(budget, Stage::kParse);
+      r.system = systems.get_or_compute(fingerprint_text(system_text), [&] {
+        Nfa nfa = parse_system(system_text);
+        const std::uint64_t fp = fingerprint_nfa(nfa);
+        return ParsedSystem{std::move(nfa), fp};
+      });
+      if (property_automaton.empty()) r.formula = parse_ltl(formula);
+    }
+    if (!property_automaton.empty()) {
+      r.behaviors = cached_behaviors(*r.system, budget);
+      const AlphabetRef& sigma = r.behaviors->alphabet();
+      const AlphabetBoundKey key{fingerprint_text(property_automaton),
+                                 sigma.get()};
+      r.property = properties.get_or_compute(key, [&] {
+        StageScope scope(budget, Stage::kParse);
+        Buchi remapped = Buchi::from_structure(remap_alphabet(
+            parse_buchi(property_automaton).structure(), sigma));
+        const std::uint64_t fp = fingerprint_buchi(remapped);
+        return ParsedProperty{std::move(remapped), fp};
+      });
+    }
+    return r;
   }
 
-  /// The decision procedures of rlv/core/relative.hpp and
-  /// rlv/fair/fair_check.hpp, restated over the cached intermediates. Every
-  /// derived object is built from the *cached* behaviors automaton so that
-  /// alphabet identity (which intersect_buchi and check_inclusion require)
-  /// is preserved even when two different texts parse to one structure.
-  Verdict decide(const std::shared_ptr<const ParsedSystem>& sys,
-                 const std::optional<Formula>& f,
-                 const std::shared_ptr<const ParsedProperty>& prop,
-                 const Query& query, Budget* budget) {
-    const auto behaviors_aut =
-        behaviors.get_or_compute(sys->fingerprint, [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return limit_of_prefix_closed(sys->nfa);
-        });
-    const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
+  /// P over the behaviors' alphabet, whichever flavor the query used.
+  std::shared_ptr<const Buchi> positive(const Resolved& r,
+                                        const Labeling& lambda,
+                                        Budget* budget) {
+    if (r.property) {
+      return std::shared_ptr<const Buchi>(r.property, &r.property->automaton);
+    }
+    return translation(*r.formula, lambda, /*negated=*/false, budget);
+  }
 
-    // The positive property automaton, whichever flavor the query used.
-    auto positive = [&]() -> std::shared_ptr<const Buchi> {
-      if (prop) {
-        return std::shared_ptr<const Buchi>(prop, &prop->automaton);
-      }
-      return translation(*f, lambda, /*negated=*/false, budget);
-    };
+  /// Fetches the cached intermediates and hands them to the decision
+  /// procedures of rlv/core/relative.hpp and rlv/fair/fair_check.hpp.
+  Verdict decide(const Resolved& r, const Query& query, Budget* budget) {
+    const auto behaviors_aut =
+        r.behaviors ? r.behaviors : cached_behaviors(*r.system, budget);
+    const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
     // ¬P: pushed-in negation for formulas, rank-based complementation for
-    // automata (the exponential path the Budget exists for).
+    // automata (the exponential path the Budget exists for). A complement
+    // is not memoized on its own: the verdict cache already absorbs
+    // repeats, so it is only rebuilt when the whole verdict is uncached.
     auto negated = [&]() -> std::shared_ptr<const Buchi> {
-      if (prop) return negated_property(prop, budget);
-      return translation(*f, lambda, /*negated=*/true, budget);
+      if (r.property) {
+        return std::make_shared<const Buchi>(
+            complement_buchi(r.property->automaton, budget));
+      }
+      return translation(*r.formula, lambda, /*negated=*/true, budget);
     };
 
     // Per-query override of the engine-wide intra-query thread count.
@@ -328,49 +359,33 @@ struct Engine::Impl {
     Verdict verdict;
     switch (query.kind) {
       case CheckKind::kRelativeLiveness: {
-        // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); ⊇ always holds.
-        const auto property_aut = positive();
-        const Buchi intersection =
-            intersect_buchi(*behaviors_aut, *property_aut, budget);
-        Nfa pre_both = [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return prefix_nfa(intersection);
-        }();
-        const auto pre_system =
-            prefixes.get_or_compute(sys->fingerprint, [&] {
+        const auto property_aut = positive(r, lambda, budget);
+        const auto pre_system = prefixes.get_or_compute(
+            {r.system->fingerprint, behaviors_aut->alphabet().get()}, [&] {
               StageScope scope(budget, Stage::kPreTrim);
               return prefix_nfa(*behaviors_aut);
             });
-        const InclusionResult inc = check_inclusion(
-            *pre_system, pre_both, query.algorithm, budget, threads);
-        verdict.holds = inc.included;
-        verdict.violating_prefix = inc.counterexample;
+        RelativeLivenessResult res =
+            decide_relative_liveness(*behaviors_aut, *pre_system, *property_aut,
+                                     query.algorithm, budget, threads);
+        verdict.holds = res.holds;
+        verdict.violating_prefix = std::move(res.violating_prefix);
         break;
       }
       case CheckKind::kRelativeSafety: {
-        // Lemma 4.4: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, explored on the fly —
-        // the triple product is never materialized, so the query pays only
-        // for the states the nested DFS visits.
-        const auto property_aut = positive();
+        const auto property_aut = positive(r, lambda, budget);
         const auto negated_aut = negated();
-        const Buchi intersection =
-            intersect_buchi(*behaviors_aut, *property_aut, budget);
-        const Buchi closure = [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return limit_of_prefix_closed(prefix_nfa(intersection));
-        }();
-        auto lasso = find_accepting_lasso_product(
-            {behaviors_aut.get(), &closure, negated_aut.get()}, budget);
-        verdict.holds = !lasso.has_value();
-        verdict.counterexample = std::move(lasso);
+        RelativeSafetyResult res = decide_relative_safety(
+            *behaviors_aut, *property_aut, *negated_aut, budget);
+        verdict.holds = res.holds;
+        verdict.counterexample = std::move(res.counterexample);
         break;
       }
       case CheckKind::kSatisfaction: {
-        const auto negated_aut = negated();
-        auto lasso = find_accepting_lasso_product(
-            {behaviors_aut.get(), negated_aut.get()}, budget);
-        verdict.holds = !lasso.has_value();
-        verdict.counterexample = std::move(lasso);
+        SatisfactionResult res =
+            decide_satisfaction(*behaviors_aut, *negated(), budget);
+        verdict.holds = res.holds;
+        verdict.counterexample = std::move(res.counterexample);
         break;
       }
       case CheckKind::kFairStrong:
@@ -396,44 +411,31 @@ struct Engine::Impl {
     if ((options.certify_verdicts || query.certify) && !verdict.holds) {
       StageScope scope(budget, Stage::kOther);
       certificates_checked.fetch_add(1, std::memory_order_relaxed);
+      // Fairness counterexamples get the satisfaction check (membership
+      // and property violation); the fairness of the run is not re-derived.
       cert::Validation validation;
-      switch (query.kind) {
-        case CheckKind::kRelativeLiveness:
-          if (!verdict.violating_prefix) {
-            validation = {false, true, "missing violating prefix"};
-          } else {
-            validation = cert::check_doomed_prefix(*verdict.violating_prefix,
-                                                   *behaviors_aut, *positive());
-          }
-          break;
-        case CheckKind::kRelativeSafety:
-          if (!verdict.counterexample) {
-            validation = {false, true, "missing counterexample lasso"};
-          } else if (prop) {
-            validation = cert::check_safety_lasso(
-                *verdict.counterexample, *behaviors_aut, prop->automaton);
-          } else {
-            validation = cert::check_safety_lasso(
-                *verdict.counterexample, *behaviors_aut, *positive(), *f,
-                lambda);
-          }
-          break;
-        case CheckKind::kSatisfaction:
-        case CheckKind::kFairStrong:
-        case CheckKind::kFairWeak:
-          // Fairness counterexamples get the partial check (membership and
-          // property violation); the fairness of the run is not re-derived.
-          if (!verdict.counterexample) {
-            validation = {false, true, "missing counterexample lasso"};
-          } else if (prop) {
-            validation = cert::check_violation_lasso(
-                *verdict.counterexample, *behaviors_aut, prop->automaton);
-          } else {
-            validation = cert::check_violation_lasso(*verdict.counterexample,
-                                                     *behaviors_aut, *f,
-                                                     lambda);
-          }
-          break;
+      if (query.kind == CheckKind::kRelativeLiveness) {
+        validation = cert::validate(
+            RelativeLivenessResult{false, verdict.violating_prefix, {}},
+            *behaviors_aut, *positive(r, lambda, budget));
+      } else if (!verdict.counterexample) {
+        validation = {false, true, "missing counterexample lasso"};
+      } else if (query.kind == CheckKind::kRelativeSafety) {
+        validation =
+            r.property
+                ? cert::check_safety_lasso(*verdict.counterexample,
+                                           *behaviors_aut,
+                                           r.property->automaton)
+                : cert::check_safety_lasso(
+                      *verdict.counterexample, *behaviors_aut,
+                      *positive(r, lambda, budget), *r.formula, lambda);
+      } else {
+        validation = r.property ? cert::check_violation_lasso(
+                                      *verdict.counterexample, *behaviors_aut,
+                                      r.property->automaton)
+                                : cert::check_violation_lasso(
+                                      *verdict.counterexample, *behaviors_aut,
+                                      *r.formula, lambda);
       }
       if (!validation.valid) {
         certificates_failed.fetch_add(1, std::memory_order_relaxed);
@@ -465,29 +467,17 @@ struct Engine::Impl {
 
     Verdict verdict;
     try {
-      std::shared_ptr<const ParsedSystem> sys;
-      std::optional<Formula> f;
-      {
-        StageScope scope(&budget, Stage::kParse);
-        sys = systems.get_or_compute(fingerprint_text(query.system), [&] {
-          Nfa nfa = parse_system(query.system);
-          const std::uint64_t fp = fingerprint_nfa(nfa);
-          return ParsedSystem{std::move(nfa), fp};
-        });
-        if (query.property_automaton.empty()) f = parse_ltl(query.formula);
-      }
-      std::shared_ptr<const ParsedProperty> prop;
-      if (!query.property_automaton.empty()) {
-        prop = property(query.property_automaton, sys->nfa.alphabet(), &budget);
-      }
-      const VerdictKey key{sys->fingerprint, f ? f->raw() : nullptr,
-                           prop ? prop->fingerprint : 0, query.kind,
-                           query.algorithm};
+      const Resolved r = resolve(query.system, query.formula,
+                                 query.property_automaton, &budget);
+      const VerdictKey key{r.system->fingerprint,
+                           r.formula ? r.formula->raw() : nullptr,
+                           r.property ? r.property->fingerprint : 0,
+                           query.kind, query.algorithm};
       // A ResourceExhausted escaping decide() propagates out of
       // get_or_compute, which drops the entry — exhausted outcomes are
       // never cached, so a retry with a larger budget recomputes.
       verdict = *verdicts.get_or_compute(
-          key, [&] { return decide(sys, f, prop, query, &budget); });
+          key, [&] { return decide(r, query, &budget); });
     } catch (const ResourceExhausted& e) {
       verdict = Verdict{};
       verdict.resource_exhausted = true;
@@ -530,38 +520,22 @@ struct Engine::Impl {
       if (spec.formula.empty() && spec.property_automaton.empty()) {
         throw std::runtime_error("missing 'formula' or 'property_automaton'");
       }
-      std::shared_ptr<const ParsedSystem> sys;
-      std::optional<Formula> f;
-      {
-        StageScope scope(&budget, Stage::kParse);
-        sys = systems.get_or_compute(fingerprint_text(spec.system), [&] {
-          Nfa nfa = parse_system(spec.system);
-          const std::uint64_t fp = fingerprint_nfa(nfa);
-          return ParsedSystem{std::move(nfa), fp};
-        });
-        if (spec.property_automaton.empty()) f = parse_ltl(spec.formula);
-      }
-      std::shared_ptr<const ParsedProperty> prop;
-      if (!spec.property_automaton.empty()) {
-        prop = property(spec.property_automaton, sys->nfa.alphabet(), &budget);
-      }
-      const MonitorKey key{sys->fingerprint, f ? f->raw() : nullptr,
-                           prop ? prop->fingerprint : 0, spec.certify};
+      const Resolved r = resolve(spec.system, spec.formula,
+                                 spec.property_automaton, &budget);
+      const MonitorKey key{r.system->fingerprint,
+                           r.formula ? r.formula->raw() : nullptr,
+                           r.property ? r.property->fingerprint : 0,
+                           spec.certify};
       // Compile once per distinct spec; an exception (including a tripped
       // budget or a refuted witness) drops the cache entry, so a retry
       // recompiles instead of serving a half-built automaton.
       const auto automaton = monitors.get_or_compute(key, [&] {
         const auto behaviors_aut =
-            behaviors.get_or_compute(sys->fingerprint, [&] {
-              StageScope scope(&budget, Stage::kPreTrim);
-              return limit_of_prefix_closed(sys->nfa);
-            });
+            r.behaviors ? r.behaviors : cached_behaviors(*r.system, &budget);
         const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
-        const std::shared_ptr<const Buchi> positive =
-            prop ? std::shared_ptr<const Buchi>(prop, &prop->automaton)
-                 : translation(*f, lambda, /*negated=*/false, &budget);
-        return monitor::MonitorAutomaton(*behaviors_aut, *positive,
-                                         spec.certify, &budget);
+        return monitor::MonitorAutomaton(
+            *behaviors_aut, *positive(r, lambda, &budget), spec.certify,
+            &budget);
       });
       std::lock_guard lock(session_mutex);
       const std::uint64_t id = sessions.open(automaton, now_ms());

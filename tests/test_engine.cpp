@@ -8,6 +8,7 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "rlv/core/relative.hpp"
 #include "rlv/engine/cache.hpp"
@@ -366,29 +367,32 @@ TEST(Engine, VerdictCacheDoesNotAliasAcrossInclusionAlgorithms) {
   EXPECT_EQ(engine.stats().verdicts.hits, 1u);
 }
 
-TEST(Engine, VerdictCacheDoesNotAliasFormulaAndAutomatonFlavors) {
-  // A formula query and an automaton-flavor query against the same system
-  // key on different fields (interned formula vs property fingerprint);
-  // neither may serve the other's verdict.
-  const std::string system_text = serialize_system(figure2_system());
-  // "infinitely many result" as an automaton over the fig2 alphabet.
-  Buchi property(figure2_system().alphabet());
+/// "Infinitely many result" as an automaton over the fig2 alphabet.
+Buchi gf_result_automaton(const AlphabetRef& sigma =
+                              figure2_system().alphabet()) {
+  Buchi property(sigma);
   const State wait = property.add_state(false);
   const State saw = property.add_state(true);
   property.set_initial(wait);
-  const AlphabetRef sigma = property.alphabet();
   for (Symbol a = 0; a < sigma->size(); ++a) {
     const bool is_result = sigma->name(a) == std::string_view("result");
     property.add_transition(wait, a, is_result ? saw : wait);
     property.add_transition(saw, a, is_result ? saw : wait);
   }
+  return property;
+}
 
+TEST(Engine, VerdictCacheDoesNotAliasFormulaAndAutomatonFlavors) {
+  // A formula query and an automaton-flavor query against the same system
+  // key on different fields (interned formula vs property fingerprint);
+  // neither may serve the other's verdict.
+  const std::string system_text = serialize_system(figure2_system());
   Query formula_query{system_text, "G F result",
                       CheckKind::kRelativeLiveness};
   Query automaton_query;
   automaton_query.system = system_text;
   automaton_query.kind = CheckKind::kRelativeLiveness;
-  automaton_query.property_automaton = serialize_buchi(property);
+  automaton_query.property_automaton = serialize_buchi(gf_result_automaton());
 
   Engine engine;
   const Verdict from_formula = engine.run_one(formula_query);
@@ -427,6 +431,79 @@ TEST(Engine, AutomatonFlavorRemapsPropertyAlphabetByName) {
   const Verdict verdict = engine.run_one(query);
   ASSERT_TRUE(verdict.ok()) << verdict.error;
   EXPECT_TRUE(verdict.holds);  // Σ^ω property: trivially satisfied
+}
+
+TEST(Engine, StructurallyEqualTextUsesCachedBehaviorsAlphabet) {
+  // Text B parses to its own alphabet object but shares text A's structural
+  // fingerprint, so the behaviors cache hands B the automaton built from A.
+  // Everything B's queries derive must be bound to that automaton's
+  // alphabet: the property remap, the products, the monitor.
+  const std::string text_a = serialize_system(figure2_system());
+  const std::string text_b = "# comment\n" + text_a;
+  const Buchi behaviors = limit_of_prefix_closed(figure2_system());
+  const Buchi property = gf_result_automaton(behaviors.alphabet());
+  const std::string property_text = serialize_buchi(property);
+
+  Engine engine;
+  Query query;
+  query.system = text_a;
+  query.kind = CheckKind::kRelativeLiveness;
+  query.property_automaton = property_text;
+  const Verdict rl = engine.run_one(query);
+  ASSERT_TRUE(rl.ok()) << rl.error;
+  EXPECT_EQ(rl.holds, relative_liveness(behaviors, property).holds);
+
+  query.system = text_b;
+  query.kind = CheckKind::kRelativeSafety;
+  const Verdict rs = engine.run_one(query);
+  ASSERT_TRUE(rs.ok()) << rs.error;
+  EXPECT_EQ(rs.holds, relative_safety(behaviors, property).holds);
+  query.kind = CheckKind::kSatisfaction;
+  const Verdict sat = engine.run_one(query);
+  ASSERT_TRUE(sat.ok()) << sat.error;
+  EXPECT_EQ(sat.holds, satisfies(behaviors, property).holds);
+  for (const CheckKind fair : {CheckKind::kFairStrong, CheckKind::kFairWeak}) {
+    query.kind = fair;
+    const Verdict verdict = engine.run_one(query);
+    EXPECT_TRUE(verdict.ok()) << verdict.error;
+  }
+
+  MonitorSpec spec;
+  spec.system = text_b;
+  spec.property_automaton = property_text;
+  const MonitorOpenResult opened = engine.open_monitor(spec);
+  ASSERT_TRUE(opened.error.empty()) << opened.error;
+  EXPECT_NE(opened.session, 0u);
+}
+
+TEST(Engine, PrefixEntryOutlivingItsBehaviorsStaysConsistent) {
+  // Capacity 1: the sat query on C evicts A's behaviors but not A's
+  // pre(L_ω), which only rl queries touch. B then rebuilds the behaviors
+  // from its own parse, and must not pair them with A's cached prefixes.
+  const std::string text_a = serialize_system(figure2_system());
+  const std::string text_b = "# comment\n" + text_a;
+  const std::string text_c = serialize_system(figure3_system());
+  const Buchi behaviors = limit_of_prefix_closed(figure2_system());
+  const Labeling lambda = Labeling::canonical(behaviors.alphabet());
+
+  Engine engine(EngineOptions{.jobs = 1, .cache_capacity = 1});
+  ASSERT_TRUE(
+      engine.run_one({text_a, "G F result", CheckKind::kRelativeLiveness})
+          .ok());
+  ASSERT_TRUE(
+      engine.run_one({text_c, "G F result", CheckKind::kSatisfaction}).ok());
+  const std::pair<std::string, std::string> interleaved[] = {
+      {text_b, "F result"}, {text_a, "G F request"}, {text_b, "F reject"}};
+  for (const auto& [text, formula] : interleaved) {
+    const Verdict verdict =
+        engine.run_one({text, formula, CheckKind::kRelativeLiveness});
+    ASSERT_TRUE(verdict.ok()) << formula << ": " << verdict.error;
+    EXPECT_EQ(verdict.holds,
+              relative_liveness(behaviors, parse_ltl(formula), lambda).holds)
+        << formula;
+    ASSERT_TRUE(
+        engine.run_one({text_c, "G F result", CheckKind::kSatisfaction}).ok());
+  }
 }
 
 }  // namespace

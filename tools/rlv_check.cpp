@@ -57,12 +57,12 @@
 // input error (including a failed --certify), 3 = no sound conclusion
 // (abstraction pipeline, non-simple).
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "rlv/cert/certificate.hpp"
@@ -77,8 +77,10 @@
 #include "rlv/ltl/parser.hpp"
 #include "rlv/ltl/pnf.hpp"
 #include "rlv/ltl/translate.hpp"
+#include "rlv/omega/complement.hpp"
 #include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
+#include "rlv/omega/live.hpp"
 #include "rlv/petri/format.hpp"
 #include "rlv/petri/reachability.hpp"
 #include "rlv/petri/scenario.hpp"
@@ -121,6 +123,22 @@ int report_certificate(const cert::Validation& validation, int verdict_code) {
     std::printf("certificate: not checked (%s)\n", validation.reason.c_str());
   }
   return verdict_code;
+}
+
+/// Splits a whitespace-separated trace into actions of `sigma`; an unknown
+/// action is reported on stderr and yields nullopt.
+std::optional<Word> parse_trace(const std::string& text,
+                                const Alphabet& sigma) {
+  Word trace;
+  std::istringstream tokens(text);
+  for (std::string token; tokens >> token;) {
+    if (!sigma.contains(token)) {
+      std::fprintf(stderr, "error: unknown action '%s'\n", token.c_str());
+      return std::nullopt;
+    }
+    trace.push_back(sigma.id(token));
+  }
+  return trace;
 }
 
 void print_lasso(const char* label, const Lasso& lasso,
@@ -226,81 +244,21 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Automaton-given property: relative liveness / safety / satisfaction
-    // against a Büchi automaton file (over the same action names).
+    // The property: a Büchi automaton file over the system's action names
+    // (rl, rs and sat only), or a formula.
+    std::optional<Buchi> property_aut;
     if (!property_path.empty()) {
-      const Buchi behaviors = limit_of_prefix_closed(system);
       const Nfa raw = parse_system(read_file(property_path));
-      const Buchi property =
+      property_aut =
           Buchi::from_structure(remap_alphabet(raw, system.alphabet()));
-      if (mode == "rl") {
-        const auto res =
-            relative_liveness(behaviors, property,
-                              InclusionAlgorithm::kAntichain,
-                              /*budget=*/nullptr, threads);
-        std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.violating_prefix) {
-          std::printf("doomed prefix: %s\n",
-                      system.alphabet()->format(*res.violating_prefix).c_str());
-          if (explain) {
-            std::fputs(explain_word(system, *res.violating_prefix).c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      if (mode == "rs") {
-        const auto res = relative_safety(behaviors, property);
-        std::printf("relative safety: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.counterexample) {
-          print_lasso("counterexample", *res.counterexample,
-                      system.alphabet());
-          if (explain) {
-            std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                     res.counterexample->period)
-                           .c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      if (mode == "sat") {
-        const auto res = satisfies(behaviors, property);
-        std::printf("satisfaction: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.counterexample) {
-          print_lasso("violating behavior", *res.counterexample,
-                      system.alphabet());
-          if (explain) {
-            std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                     res.counterexample->period)
-                           .c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      return usage();
+      if (mode != "rl" && mode != "rs" && mode != "sat") return usage();
     }
+    if (!property_aut && formula_text.empty()) return usage();
+    // Null with --property-aut: only the rl/rs/sat path below runs then.
+    const Formula formula =
+        property_aut ? Formula{} : parse_ltl(formula_text);
 
-    if (formula_text.empty()) return usage();
-    const Formula formula = parse_ltl(formula_text);
-
-    if (!hom_path.empty() || net_hom) {
+    if (!property_aut && (!hom_path.empty() || net_hom)) {
       if (net_hom && netfile.hidden.empty()) {
         std::fprintf(stderr,
                      "error: --net-hom needs a net with a hide annotation\n");
@@ -353,11 +311,45 @@ int main(int argc, char** argv) {
     const Buchi behaviors = limit_of_prefix_closed(system);
     const Labeling lambda = Labeling::canonical(system.alphabet());
 
+    // P and ¬P over the system alphabet: rank-based complementation for an
+    // automaton file (exponential), pushed-in negation for a formula.
+    const auto positive = [&] {
+      return property_aut ? *property_aut : translate_ltl(formula, lambda);
+    };
+    const auto negated = [&] {
+      return property_aut ? complement_buchi(*property_aut)
+                          : translate_ltl_negated(formula, lambda);
+    };
+    // Prints --certify's re-check of a negative verdict's witness and
+    // returns the exit code.
+    const auto exit_code = [&](const auto& res) {
+      const int code = res.holds ? 0 : 1;
+      if (!certify) return code;
+      return report_certificate(
+          property_aut ? cert::validate(res, behaviors, *property_aut)
+                       : cert::validate(res, behaviors, formula, lambda),
+          code);
+    };
+    // rs and sat answer with a lasso.
+    const auto report_lasso = [&](const char* check, const char* witness,
+                                  const auto& res) {
+      std::printf("%s: %s\n", check, res.holds ? "HOLDS" : "FAILS");
+      if (res.counterexample) {
+        print_lasso(witness, *res.counterexample, system.alphabet());
+        if (explain) {
+          std::fputs(explain_lasso(system, res.counterexample->prefix,
+                                   res.counterexample->period)
+                         .c_str(),
+                     stdout);
+        }
+      }
+      return exit_code(res);
+    };
+
     if (mode == "rl") {
-      const auto res =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
+      const auto res = decide_relative_liveness(
+          behaviors, prefix_nfa(behaviors), positive(),
+          InclusionAlgorithm::kAntichain, /*budget=*/nullptr, threads);
       std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
       if (res.violating_prefix) {
         std::printf("doomed prefix: %s\n",
@@ -367,51 +359,16 @@ int main(int argc, char** argv) {
                      stdout);
         }
       }
-      int code = res.holds ? 0 : 1;
-      if (certify) {
-        code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
-      }
-      return code;
+      return exit_code(res);
     }
     if (mode == "rs") {
-      const auto res = relative_safety(behaviors, formula, lambda);
-      std::printf("relative safety: %s\n", res.holds ? "HOLDS" : "FAILS");
-      if (res.counterexample) {
-        print_lasso("counterexample", *res.counterexample, system.alphabet());
-        if (explain) {
-          std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                   res.counterexample->period)
-                         .c_str(),
-                     stdout);
-        }
-      }
-      int code = res.holds ? 0 : 1;
-      if (certify) {
-        code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
-      }
-      return code;
+      return report_lasso(
+          "relative safety", "counterexample",
+          decide_relative_safety(behaviors, positive(), negated(), nullptr));
     }
     if (mode == "sat") {
-      const auto res = satisfies(behaviors, formula, lambda);
-      std::printf("satisfaction: %s\n", res.holds ? "HOLDS" : "FAILS");
-      if (res.counterexample) {
-        print_lasso("violating behavior", *res.counterexample,
-                    system.alphabet());
-        if (explain) {
-          std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                   res.counterexample->period)
-                         .c_str(),
-                     stdout);
-        }
-      }
-      int code = res.holds ? 0 : 1;
-      if (certify) {
-        code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
-      }
-      return code;
+      return report_lasso("satisfaction", "violating behavior",
+                          decide_satisfaction(behaviors, negated(), nullptr));
     }
     if (mode == "fair" || mode == "fairweak") {
       const FairnessKind kind = (mode == "fair")
@@ -446,35 +403,26 @@ int main(int argc, char** argv) {
     }
     if (mode == "doom") {
       DoomMonitor monitor(behaviors, formula, lambda);
-      // Parse the whitespace-separated trace against the system alphabet.
-      Word trace;
-      std::string token;
-      for (const char c : trace_text + " ") {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-          if (!token.empty()) {
-            if (!system.alphabet()->contains(token)) {
-              std::fprintf(stderr, "error: unknown action '%s'\n",
-                           token.c_str());
-              return 2;
-            }
-            trace.push_back(system.alphabet()->id(token));
-            token.clear();
-          }
-        } else {
-          token += c;
-        }
-      }
+      const std::optional<Word> trace =
+          parse_trace(trace_text, *system.alphabet());
+      if (!trace) return 2;
       std::size_t first_doom = 0;
-      const MonitorVerdict verdict = monitor.run(trace, &first_doom);
+      const MonitorVerdict verdict = monitor.run(*trace, &first_doom);
       switch (verdict) {
         case MonitorVerdict::kSatisfiable:
           std::printf("trace ok: the property is still realizable\n");
           return 0;
         case MonitorVerdict::kDoomed:
+          if (first_doom == trace->size()) {
+            // Doomed before any step: the empty prefix has no continuation.
+            std::printf("DOOMED at the empty prefix: no behavior can satisfy "
+                        "the property\n");
+            return 1;
+          }
           std::printf("DOOMED at step %zu (action '%s'): no continuation "
                       "can satisfy the property\n",
                       first_doom,
-                      system.alphabet()->name(trace[first_doom]).c_str());
+                      system.alphabet()->name((*trace)[first_doom]).c_str());
           return 1;
         case MonitorVerdict::kLeftSystem:
           std::printf("trace left the system at step %zu\n", first_doom);
@@ -492,28 +440,14 @@ int main(int argc, char** argv) {
       if (!trace_file.empty()) trace_text = read_file(trace_file);
       const monitor::MonitorAutomaton aut(behaviors, formula, lambda,
                                           certify);
-      Word trace;
-      std::string token;
-      for (const char c : trace_text + " ") {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-          if (!token.empty()) {
-            if (!system.alphabet()->contains(token)) {
-              std::fprintf(stderr, "error: unknown action '%s'\n",
-                           token.c_str());
-              return 2;
-            }
-            trace.push_back(system.alphabet()->id(token));
-            token.clear();
-          }
-        } else {
-          token += c;
-        }
-      }
+      const std::optional<Word> trace =
+          parse_trace(trace_text, *system.alphabet());
+      if (!trace) return 2;
       std::uint32_t state = aut.initial();
       MonitorVerdict verdict = aut.verdict(state);
       std::optional<std::size_t> transition;
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        state = aut.step(state, trace[i]);
+      for (std::size_t i = 0; i < trace->size(); ++i) {
+        state = aut.step(state, (*trace)[i]);
         const MonitorVerdict after = aut.verdict(state);
         if (verdict == MonitorVerdict::kSatisfiable &&
             after != MonitorVerdict::kSatisfiable) {
@@ -521,12 +455,12 @@ int main(int argc, char** argv) {
         }
         verdict = after;
         std::printf("  %3zu %-12s -> %s\n", i,
-                    system.alphabet()->name(trace[i]).c_str(),
+                    system.alphabet()->name((*trace)[i]).c_str(),
                     std::string(monitor::verdict_name(after)).c_str());
       }
       if (verdict == MonitorVerdict::kSatisfiable) {
         std::printf("trace ok: the property is still realizable after %zu "
-                    "events\n", trace.size());
+                    "events\n", trace->size());
         return 0;
       }
       if (transition && aut.verdict(state) == MonitorVerdict::kDoomed) {
@@ -535,16 +469,8 @@ int main(int argc, char** argv) {
                     "%s\n", *transition,
                     system.alphabet()->format(witness).c_str());
         if (certify) {
-          const Buchi property_buchi = translate_ltl(formula, lambda);
-          const cert::Validation validation =
-              cert::check_doomed_prefix(witness, behaviors, property_buchi);
-          std::printf("certificate: %s\n",
-                      validation.valid && validation.checked ? "VALID"
-                                                             : "INVALID");
-          if (!validation.valid) {
-            std::fprintf(stderr, "error: %s\n", validation.reason.c_str());
-            return 2;
-          }
+          return report_certificate(
+              cert::check_doomed_prefix(witness, behaviors, positive()), 1);
         }
       } else if (transition) {
         std::printf("trace left the system at step %zu\n", *transition);

@@ -13,7 +13,12 @@
 //   * Thm 4.7 identity   — satisfies ⟺ relative liveness ∧ relative safety;
 //   * certificates       — every negative verdict's witness is re-checked
 //                          with the independent validator
-//                          (rlv/cert/certificate.hpp).
+//                          (rlv/cert/certificate.hpp);
+//   * engine vs direct   — rl, rs and sat through one long-lived rlv::Engine
+//                          (cache on) must return the direct calls' verdicts
+//                          and witnesses, for the system text and for a
+//                          comment-prefixed copy of it (same structure, own
+//                          alphabet object).
 //
 // Any mismatch prints a self-contained repro (seed, instance number, system
 // text, formula) and exits 1. Deterministic for a fixed seed.
@@ -32,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +45,7 @@
 #include "rlv/cert/oracle.hpp"
 #include "rlv/core/preservation.hpp"
 #include "rlv/core/relative.hpp"
+#include "rlv/engine/engine.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/hom/image.hpp"
@@ -405,6 +412,9 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   std::size_t certificates = 0;
   std::size_t negatives = 0;
+  // Small caches, so entries are evicted and rebuilt from other texts
+  // throughout the run.
+  Engine engine(EngineOptions{.jobs = 1, .cache_capacity = 8});
 
   for (std::size_t instance = 0; instance < instances; ++instance) {
     const std::size_t sigma_size = 2 + rng.next_below(max_alphabet - 1);
@@ -488,6 +498,39 @@ int main(int argc, char** argv) {
         if (!v.valid) return bail("rs/sat certificate: " + v.reason);
       }
       if (!sat.holds) ++negatives;
+
+      // Engine leg. The first round computes every verdict, rs from the
+      // copy while the cached behaviors come from the original text; the
+      // second round asks each check again on the other text, rl with the
+      // subset algorithm so that it is computed afresh over cached
+      // intermediates built from the first text.
+      const std::string text = serialize_system(system);
+      const std::string copy = "# copy\n" + text;
+      const std::string formula_text = formula.to_string();
+      for (const bool second_round : {false, true}) {
+        const auto ask = [&](CheckKind kind, bool on_copy) {
+          Query query{on_copy ? copy : text, formula_text, kind};
+          if (second_round) query.algorithm = InclusionAlgorithm::kSubset;
+          Verdict v = engine.run_one(query);
+          if (!v.ok()) throw std::runtime_error("engine: " + v.error);
+          return v;
+        };
+        const Verdict erl = ask(CheckKind::kRelativeLiveness, second_round);
+        const Verdict ers = ask(CheckKind::kRelativeSafety, !second_round);
+        const Verdict esat = ask(CheckKind::kSatisfaction, second_round);
+        const RelativeLivenessResult& rl = second_round ? rl_subset : rl_anti;
+        if (erl.holds != rl.holds ||
+            erl.violating_prefix != rl.violating_prefix) {
+          return bail("rl: engine and direct call disagree");
+        }
+        if (ers.holds != rs.holds || ers.counterexample != rs.counterexample) {
+          return bail("rs: engine and direct call disagree");
+        }
+        if (esat.holds != sat.holds ||
+            esat.counterexample != sat.counterexample) {
+          return bail("sat: engine and direct call disagree");
+        }
+      }
     } catch (const std::exception& e) {
       return bail(std::string("exception: ") + e.what());
     }
