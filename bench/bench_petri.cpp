@@ -34,7 +34,7 @@ BENCHMARK(BM_Petri_ResourceServer)
 
 void BM_Petri_ProducerConsumer(benchmark::State& state) {
   const std::size_t cap = static_cast<std::size_t>(state.range(0));
-  const PetriNet net = producer_consumer_net(cap);
+  const PetriNet net = petri::bounded_buffer_net(cap).net;
   std::size_t states = 0;
   for (auto _ : state) {
     const ReachabilityGraph graph = build_reachability_graph(net);
@@ -51,7 +51,7 @@ BENCHMARK(BM_Petri_ProducerConsumer)
 
 void BM_Petri_DiningPhilosophers(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const PetriNet net = dining_philosophers_net(n);
+  const PetriNet net = petri::philosophers_net(n).net;
   std::size_t states = 0;
   std::size_t deadlocks = 0;
   for (auto _ : state) {

@@ -162,15 +162,12 @@ struct VerdictKeyHash {
   }
 };
 
-/// cache_shards = 0 resolves to the job count: a single-job engine keeps
-/// one shard (exact whole-cache LRU, as the eviction unit tests require),
-/// while an N-worker server gets ~N shard mutexes per cache. MemoCache
-/// rounds up to a power of two itself.
-std::size_t resolve_cache_shards(const EngineOptions& opts) {
-  const std::size_t want = opts.cache_shards > 0 ? opts.cache_shards
-                           : opts.jobs > 0       ? opts.jobs
-                                                 : 1;
-  return want;
+/// One lock shard per engine job: a single-job engine keeps one shard
+/// (exact whole-cache LRU, as the eviction unit tests require), while an
+/// N-worker server gets ~N shard mutexes per cache. MemoCache rounds up to
+/// a power of two itself.
+std::size_t cache_shards(const EngineOptions& opts) {
+  return std::max<std::size_t>(opts.jobs, 1);
 }
 
 /// Cumulative per-stage totals as relaxed atomics: workers merge each
@@ -223,13 +220,13 @@ struct AtomicStageTotals {
 struct Engine::Impl {
   explicit Impl(const EngineOptions& opts)
       : options(opts),
-        systems(opts.cache_capacity, resolve_cache_shards(opts)),
-        behaviors(opts.cache_capacity, resolve_cache_shards(opts)),
-        prefixes(opts.cache_capacity, resolve_cache_shards(opts)),
-        translations(opts.cache_capacity, resolve_cache_shards(opts)),
-        properties(opts.cache_capacity, resolve_cache_shards(opts)),
-        verdicts(opts.cache_capacity * 8, resolve_cache_shards(opts)),
-        monitors(opts.cache_capacity, resolve_cache_shards(opts)),
+        systems(opts.cache_capacity, cache_shards(opts)),
+        behaviors(opts.cache_capacity, cache_shards(opts)),
+        prefixes(opts.cache_capacity, cache_shards(opts)),
+        translations(opts.cache_capacity, cache_shards(opts)),
+        properties(opts.cache_capacity, cache_shards(opts)),
+        verdicts(opts.cache_capacity * 8, cache_shards(opts)),
+        monitors(opts.cache_capacity, cache_shards(opts)),
         sessions(opts.max_sessions),
         pool(opts.jobs <= 1 ? 0 : opts.jobs) {}
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "rlv/gen/guarded.hpp"
-#include "rlv/petri/scenario.hpp"
 
 namespace rlv {
 
@@ -188,10 +187,6 @@ PetriNet resource_server_net(std::size_t num_clients) {
 Homomorphism resource_server_abstraction(AlphabetRef source) {
   return Homomorphism::projection(std::move(source),
                                   {"request_0", "result_0", "reject_0"});
-}
-
-PetriNet dining_philosophers_net(std::size_t num_philosophers) {
-  return petri::philosophers_net(num_philosophers).net;
 }
 
 Nfa peterson_system() {
@@ -509,10 +504,6 @@ Nfa token_ring(std::size_t num_stations) {
   }
   nfa.set_initial(0);
   return nfa;
-}
-
-PetriNet producer_consumer_net(std::size_t capacity) {
-  return petri::bounded_buffer_net(capacity).net;
 }
 
 }  // namespace rlv

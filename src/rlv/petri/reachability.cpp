@@ -1,5 +1,6 @@
 #include "rlv/petri/reachability.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 
@@ -9,167 +10,68 @@ namespace rlv {
 
 namespace {
 
-std::size_t hash_counts(const std::uint32_t* counts, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= counts[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return static_cast<std::size_t>(h);
-}
-
-/// Marking store with two phases. Phase one interns 1-safe markings as
-/// packed bitsets; the first marking that needs ≥ 2 tokens on a place
-/// converts every stored bitset to a token-count row (dense ids are handed
-/// out in first-seen order by both phases, so ids survive the conversion
-/// and exploration continues without a restart).
+/// Interned markings: token-count rows with stride `places` in one flat
+/// vector, deduped through an IdTable. Dense ids are handed out in
+/// first-seen order, so they double as reachability-graph states.
 class MarkingStore {
  public:
-  explicit MarkingStore(std::size_t num_places)
-      : places_(num_places),
-        words_per_((num_places + 63) / 64),
-        bitsets_(num_places) {}
+  explicit MarkingStore(std::size_t num_places) : places_(num_places) {}
 
-  [[nodiscard]] bool one_safe() const { return safe_; }
-  [[nodiscard]] std::size_t size() const {
-    return safe_ ? bitsets_.size() : count_of_rows_;
-  }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
   [[nodiscard]] std::size_t bytes() const {
-    return safe_ ? bitsets_.bytes()
-                 : rows_.capacity() * sizeof(std::uint32_t) + table_.bytes();
+    return rows_.capacity() * sizeof(std::uint32_t) + table_.bytes();
   }
 
   /// Finds `m`, or kNoId when it was never interned.
-  [[nodiscard]] std::uint32_t find(const Marking& m) {
-    if (safe_) {
-      // A non-1-safe marking cannot be in the bitset store: never seen.
-      if (!pack(m)) return IdTable::kNoId;
-      return bitsets_.find(scratch_.data());
-    }
-    return find_row(m);
+  [[nodiscard]] std::uint32_t find(const Marking& m) const {
+    return table_.find(hash_words(m.data(), places_), [&](std::uint32_t id) {
+      return std::equal(m.begin(), m.end(),
+                        rows_.data() + std::size_t{id} * places_);
+    });
   }
 
   /// Interns `m`; returns (id, fresh).
   std::pair<std::uint32_t, bool> intern(const Marking& m) {
-    if (safe_) {
-      if (pack(m)) return bitsets_.intern(scratch_.data());
-      convert();
-    }
-    const std::uint32_t found = find_row(m);
+    const std::uint32_t found = find(m);
     if (found != IdTable::kNoId) return {found, false};
-    const auto id = static_cast<std::uint32_t>(count_of_rows_);
+    const auto id = static_cast<std::uint32_t>(size());
     rows_.insert(rows_.end(), m.begin(), m.end());
-    ++count_of_rows_;
-    table_.insert(hash_counts(m.data(), places_), id, [&](std::uint32_t x) {
-      return hash_counts(rows_.data() + std::size_t{x} * places_, places_);
+    for (const std::uint32_t tokens : m) one_safe_ = one_safe_ && tokens <= 1;
+    table_.insert(hash_words(m.data(), places_), id, [&](std::uint32_t x) {
+      return hash_words(rows_.data() + std::size_t{x} * places_, places_);
     });
     return {id, true};
   }
 
-  /// Copies the marking of `id` into `out` (resized to places()).
+  /// Copies the marking of `id` into `out`.
   void decode(std::uint32_t id, Marking& out) const {
-    out.assign(places_, 0);
-    if (safe_) {
-      const std::uint64_t* w = bitsets_.words(id);
-      for (std::size_t p = 0; p < places_; ++p) {
-        out[p] = (w[p / 64] >> (p % 64)) & 1u;
-      }
-    } else {
-      const std::uint32_t* row = rows_.data() + std::size_t{id} * places_;
-      for (std::size_t p = 0; p < places_; ++p) out[p] = row[p];
-    }
+    const std::uint32_t* row = rows_.data() + std::size_t{id} * places_;
+    out.assign(row, row + places_);
   }
 
   /// Moves the backing storage into the finished graph.
   void release(ReachabilityGraph& graph) {
-    graph.one_safe = safe_;
-    if (safe_) {
-      graph.marking_bits.reserve(size() * words_per_);
-      for (std::size_t id = 0; id < size(); ++id) {
-        const std::uint64_t* w = bitsets_.words(static_cast<std::uint32_t>(id));
-        graph.marking_bits.insert(graph.marking_bits.end(), w, w + words_per_);
-      }
-    } else {
-      graph.marking_counts = std::move(rows_);
-    }
+    graph.one_safe = one_safe_;
+    graph.marking_counts = std::move(rows_);
   }
 
  private:
-  /// Packs `m` into scratch_; false when some place holds ≥ 2 tokens.
-  bool pack(const Marking& m) {
-    scratch_.assign(words_per_, 0);
-    for (std::size_t p = 0; p < places_; ++p) {
-      if (m[p] > 1) return false;
-      if (m[p]) scratch_[p / 64] |= std::uint64_t{1} << (p % 64);
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::uint32_t find_row(const Marking& m) {
-    return table_.find(hash_counts(m.data(), places_), [&](std::uint32_t id) {
-      const std::uint32_t* row = rows_.data() + std::size_t{id} * places_;
-      for (std::size_t p = 0; p < places_; ++p) {
-        if (row[p] != m[p]) return false;
-      }
-      return true;
-    });
-  }
-
-  /// Expands every interned bitset into a count row, rebuilding the id
-  /// table under the count hash. Ids are preserved.
-  void convert() {
-    count_of_rows_ = bitsets_.size();
-    rows_.assign(count_of_rows_ * places_, 0);
-    for (std::size_t id = 0; id < count_of_rows_; ++id) {
-      const std::uint64_t* w = bitsets_.words(static_cast<std::uint32_t>(id));
-      std::uint32_t* row = rows_.data() + id * places_;
-      for (std::size_t p = 0; p < places_; ++p) {
-        row[p] = (w[p / 64] >> (p % 64)) & 1u;
-      }
-      table_.insert(hash_counts(row, places_), static_cast<std::uint32_t>(id),
-                    [&](std::uint32_t x) {
-                      return hash_counts(rows_.data() + std::size_t{x} * places_,
-                                         places_);
-                    });
-    }
-    safe_ = false;
-    bitsets_ = BitsetInterner(0);  // release the bitset storage
-  }
-
   std::size_t places_;
-  std::size_t words_per_;
-  bool safe_ = true;
-  BitsetInterner bitsets_;
-  std::vector<std::uint64_t> scratch_;
-  // General phase: count rows with stride places_, deduped through table_.
-  std::vector<std::uint32_t> rows_;
-  std::size_t count_of_rows_ = 0;
+  bool one_safe_ = true;
+  std::vector<std::uint32_t> rows_;  // size() * places_
   IdTable table_;
 };
 
 }  // namespace
 
 Marking ReachabilityGraph::marking(State s) const {
-  Marking m(num_places, 0);
-  if (one_safe) {
-    const std::size_t words_per = (num_places + 63) / 64;
-    const std::uint64_t* w = marking_bits.data() + std::size_t{s} * words_per;
-    for (std::size_t p = 0; p < num_places; ++p) {
-      m[p] = (w[p / 64] >> (p % 64)) & 1u;
-    }
-  } else {
-    const std::uint32_t* row =
-        marking_counts.data() + std::size_t{s} * num_places;
-    for (std::size_t p = 0; p < num_places; ++p) m[p] = row[p];
-  }
-  return m;
+  const std::uint32_t* row =
+      marking_counts.data() + std::size_t{s} * num_places;
+  return Marking(row, row + num_places);
 }
 
 std::uint32_t ReachabilityGraph::tokens(State s, PlaceId p) const {
   assert(p < num_places);
-  if (one_safe) {
-    const std::size_t words_per = (num_places + 63) / 64;
-    return (marking_bits[std::size_t{s} * words_per + p / 64] >> (p % 64)) & 1u;
-  }
   return marking_counts[std::size_t{s} * num_places + p];
 }
 
@@ -184,7 +86,7 @@ ReachabilityGraph build_reachability_graph(const PetriNet& net,
     label_symbol[t] = sigma->intern(net.label(t));
   }
 
-  ReachabilityGraph graph{Nfa(sigma), {}, true, true, net.num_places(), {}, {}};
+  ReachabilityGraph graph{Nfa(sigma), {}, true, true, net.num_places(), {}};
 
   MarkingStore store(net.num_places());
   std::deque<std::uint32_t> worklist;

@@ -6,13 +6,11 @@
 // alphabet of transition labels — exactly the "system whose behaviors are
 // the limit of a prefix-closed regular language" of Definition 6.2.
 //
-// Markings are interned, not mapped: while the net stays 1-safe the unfolder
-// packs each marking into a fixed-width bitset and dedups through a
-// BitsetInterner (util/intern.hpp), so a state costs ⌈|P|/64⌉ words plus a
-// 4-byte table slot instead of an owned std::vector node in a std::map. The
-// first marking that puts ≥ 2 tokens on a place converts the interned store
-// in place to general token-count rows (same dense ids, no restart) and
-// exploration continues unbounded-weight-correct.
+// Markings are interned, not mapped: each reached marking is stored once as
+// a token-count row (one uint32_t per place) in a single flat vector and
+// deduped through an IdTable (util/intern.hpp), so a state costs |P| counts
+// plus a 4-byte table slot instead of an owned std::vector node in a
+// std::map. The row's dense id is the state's id, in first-seen order.
 //
 // Construction is budget-governed: pass a Budget to charge every fresh
 // marking under Stage::kPetriUnfold with frontier / memory observability;
@@ -38,14 +36,12 @@ struct ReachabilityGraph {
   /// False when exploration hit `max_states` before exhausting the state
   /// space (net unbounded or too large).
   bool complete = true;
-  /// True when every reached marking kept ≤ 1 token per place; markings are
-  /// then stored as packed bitsets, otherwise as token-count rows.
+  /// True when every reached marking kept ≤ 1 token per place.
   bool one_safe = true;
   std::size_t num_places = 0;
 
-  /// Backing stores — exactly one is non-empty (bitsets when `one_safe`,
-  /// else ⌈places⌉-stride count rows). Use marking()/tokens() to read.
-  std::vector<std::uint64_t> marking_bits;
+  /// Token-count rows, `num_places` per state in state order. Use
+  /// marking()/tokens() to read.
   std::vector<std::uint32_t> marking_counts;
 
   /// Materializes the marking of state `s`.

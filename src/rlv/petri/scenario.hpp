@@ -10,8 +10,7 @@
 //                             roughly 3.4× in marking-graph states per seat;
 //   * bounded_buffer_net(b) — producer/consumer over a b-slot buffer
 //                             (deliberately NOT 1-safe for b ≥ 2: the
-//                             `space` place holds b tokens, exercising the
-//                             unfolder's count-row fallback);
+//                             `space` place holds b tokens);
 //   * ring_workflow_net(n)  — a token ring of n stations, each working then
 //                             passing the token on (the pass_* labels are
 //                             the hidden plumbing);

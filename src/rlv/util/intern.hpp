@@ -84,10 +84,13 @@ class IdTable {
   std::size_t count_ = 0;
 };
 
-inline std::size_t hash_words(const std::uint64_t* words, std::size_t n) {
+/// Hashes `n` words of any unsigned width (bitset words, token counts);
+/// each word is widened to 64 bits before mixing.
+template <typename Word>
+std::size_t hash_words(const Word* words, std::size_t n) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
   for (std::size_t i = 0; i < n; ++i) {
-    h ^= words[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h ^= std::uint64_t{words[i]} + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return static_cast<std::size_t>(h);
 }

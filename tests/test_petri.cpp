@@ -76,7 +76,7 @@ TEST(Reachability, ProducerConsumerStateCount) {
   // Buffer occupancy 0..capacity → capacity+1 markings.
   for (std::size_t cap = 1; cap <= 5; ++cap) {
     const ReachabilityGraph graph =
-        build_reachability_graph(producer_consumer_net(cap));
+        build_reachability_graph(petri::bounded_buffer_net(cap).net);
     EXPECT_TRUE(graph.complete);
     EXPECT_EQ(graph.system.num_states(), cap + 1);
     EXPECT_TRUE(graph.deadlocks.empty());
@@ -117,11 +117,9 @@ TEST(Reachability, DeadlockDetection) {
   EXPECT_EQ(graph.marking(graph.deadlocks[0])[q], 1u);
 }
 
-TEST(Reachability, OneSafeNetsStayInBitsetStorage) {
+TEST(Reachability, OneSafeNetMarkingsAgree) {
   const ReachabilityGraph graph = build_reachability_graph(figure1_net());
   EXPECT_TRUE(graph.one_safe);
-  EXPECT_FALSE(graph.marking_bits.empty());
-  EXPECT_TRUE(graph.marking_counts.empty());
   for (State s = 0; s < graph.system.num_states(); ++s) {
     const Marking m = graph.marking(s);
     for (PlaceId p = 0; p < graph.num_places; ++p) {
@@ -131,23 +129,58 @@ TEST(Reachability, OneSafeNetsStayInBitsetStorage) {
   }
 }
 
-TEST(Reachability, NonSafeNetFallsBackToCountRows) {
-  // producer_consumer_net(3) accumulates up to 3 tokens on the buffer
-  // place: the unfolder must convert its interned store to count rows
-  // mid-exploration (same dense ids, no restart) and keep going.
+TEST(Reachability, NonSafeNetKeepsTokenCounts) {
+  // bounded_buffer_net(3) accumulates up to 3 tokens on its `space` place.
   const ReachabilityGraph graph =
-      build_reachability_graph(producer_consumer_net(3));
+      build_reachability_graph(petri::bounded_buffer_net(3).net);
   EXPECT_TRUE(graph.complete);
   EXPECT_FALSE(graph.one_safe);
-  EXPECT_TRUE(graph.marking_bits.empty());
-  EXPECT_FALSE(graph.marking_counts.empty());
   std::uint32_t max_tokens = 0;
   for (State s = 0; s < graph.system.num_states(); ++s) {
+    const Marking m = graph.marking(s);
     for (PlaceId p = 0; p < graph.num_places; ++p) {
+      EXPECT_EQ(m[p], graph.tokens(s, p));
       max_tokens = std::max(max_tokens, graph.tokens(s, p));
     }
   }
   EXPECT_EQ(max_tokens, 3u);
+}
+
+TEST(Reachability, SafetyLostMidExplorationKeepsFirstSeenIds) {
+  // Three 1-safe markings, then a weight-2 arc puts 2 tokens on `d`, then
+  // `d` drains back to 1-safe markings: every state keeps the id of its
+  // first visit and reads back the marking it was reached with.
+  PetriNet net;
+  const PlaceId s0 = net.add_place("s0", 1);
+  const PlaceId s1 = net.add_place("s1");
+  const PlaceId s2 = net.add_place("s2");
+  const PlaceId d = net.add_place("d");
+  const TransId a = net.add_transition("a");
+  net.add_input(a, s0);
+  net.add_output(a, s1);
+  const TransId b = net.add_transition("b");
+  net.add_input(b, s1);
+  net.add_output(b, s2);
+  const TransId c = net.add_transition("c");
+  net.add_input(c, s2);
+  net.add_output(c, d, 2);
+  const TransId drain = net.add_transition("drain");
+  net.add_input(drain, d);
+
+  const ReachabilityGraph graph = build_reachability_graph(net);
+  EXPECT_TRUE(graph.complete);
+  EXPECT_FALSE(graph.one_safe);
+  const std::vector<Marking> expected = {{1, 0, 0, 0}, {0, 1, 0, 0},
+                                         {0, 0, 1, 0}, {0, 0, 0, 2},
+                                         {0, 0, 0, 1}, {0, 0, 0, 0}};
+  ASSERT_EQ(graph.system.num_states(), expected.size());
+  for (State s = 0; s < graph.system.num_states(); ++s) {
+    EXPECT_EQ(graph.marking(s), expected[s]) << "state " << s;
+    for (PlaceId p = 0; p < graph.num_places; ++p) {
+      EXPECT_EQ(graph.tokens(s, p), expected[s][p]);
+    }
+  }
+  EXPECT_EQ(graph.deadlocks, std::vector<State>{5});
 }
 
 TEST(Reachability, BudgetChargesPetriUnfoldStage) {

@@ -237,6 +237,13 @@ int main(int argc, char** argv) {
                   graph.system.num_states(), graph.deadlocks.size(),
                   graph.one_safe ? "" : " (not 1-safe)",
                   graph.complete ? "" : " (truncated)");
+      // A truncated unfolding is a different system: deciding it would
+      // give a verdict about the wrong language, so report the soft cap
+      // as the budget trip it is.
+      if (!graph.complete) {
+        throw ResourceExhausted(Stage::kPetriUnfold,
+                                ResourceExhausted::Kind::kStates);
+      }
       return std::move(graph.system);
     }();
     if (dot) {

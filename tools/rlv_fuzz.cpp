@@ -341,7 +341,7 @@ int run_petri_fuzz(std::uint64_t seed, std::size_t instances,
       std::printf("instance %zu ok: %s, %zu states%s\n", instance,
                   file.name.c_str(),
                   static_cast<std::size_t>(graph.system.num_states()),
-                  graph.one_safe ? "" : " (count rows)");
+                  graph.one_safe ? "" : " (not 1-safe)");
     }
   }
 
