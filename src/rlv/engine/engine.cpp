@@ -549,6 +549,7 @@ struct Engine::Impl {
     } catch (const std::exception& e) {
       result.error = e.what();
     }
+    merge_profile(budget.profile());
     result.millis = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count();

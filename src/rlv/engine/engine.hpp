@@ -17,8 +17,8 @@
 // under its own rlv::Budget; a tripped limit yields a verdict with
 // resource_exhausted set (and the tripping stage named) instead of a crash
 // or a wrong boolean. Exhausted verdicts are never cached. Per-stage
-// profiles are collected for every query (budgeted or not) and aggregated
-// into EngineStats::stages.
+// profiles are collected for every query and monitor open (budgeted or
+// not) and aggregated into EngineStats::stages.
 //
 // Every check is a pure function of its query, so Engine::run returns
 // verdicts bit-identical to sequential execution regardless of the worker

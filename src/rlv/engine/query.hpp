@@ -199,7 +199,7 @@ struct EngineStats {
   /// the corresponding verdicts were reported as errors, never cached.
   std::uint64_t certificates_checked = 0;
   std::uint64_t certificates_failed = 0;
-  /// Sum of every executed query's per-stage profile.
+  /// Sum of every executed query's and monitor open's per-stage profile.
   QueryProfile stages;
 
   [[nodiscard]] CacheCounters total() const {

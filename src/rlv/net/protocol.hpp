@@ -79,8 +79,7 @@ struct ServerCounters {
   std::uint64_t bytes_written = 0;
   std::uint64_t inflight = 0;  // currently submitted, response not yet queued
   /// accept(2) failures from resource pressure (EMFILE/ENFILE/ENOMEM/
-  /// ENOBUFS). Each one pauses that reactor's listener instead of killing
-  /// the loop; a rising value under load means the fd limit is the
+  /// ENOBUFS). Each one pauses the acceptor instead of killing the loop; a rising value under load means the fd limit is the
   /// bottleneck (see docs/usage.md §12).
   std::uint64_t accept_soft_errors = 0;
   std::uint64_t reactors = 1;  // event loops serving this process

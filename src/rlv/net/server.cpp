@@ -33,103 +33,111 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Backoff before a reactor re-polls a listener paused by fd exhaustion:
-/// even if none of this reactor's connections close, the process-wide fd
-/// table may have been relieved by another reactor (or by the kernel
-/// finishing TIME_WAIT teardown), so retry on a short period.
+/// Backoff before the acceptor re-polls a listener paused by fd exhaustion:
+/// even if none of its own connections close, the process-wide fd table
+/// may have been relieved by another reactor (or by the kernel finishing
+/// TIME_WAIT teardown), so retry on a short period.
 constexpr std::chrono::milliseconds kAcceptRetryBackoff{100};
+
+/// Pending connects the kernel queues for the acceptor.
+constexpr int kListenBacklog = 64;
+
+/// Above this many buffered unsent response bytes a connection is not read
+/// until the client catches up.
+constexpr std::size_t kMaxWriteBuffer = 8 << 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-}  // namespace
+/// RAII listening socket (IPv4, non-blocking), owned by the acceptor.
+class Listener {
+ public:
+  Listener() = default;
+  ~Listener() { close(); }
 
-// ---------------------------------------------------------------------------
-// Listener
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
-std::uint16_t Listener::listen(const std::string& address, std::uint16_t port,
-                               int backlog, bool reuse_port) {
-  close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (reuse_port) {
-    // Must be set before bind on every socket sharing the port. Failure
-    // throws so Server::start() can fall back to the fd-handoff acceptor.
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0) {
+  /// Binds address:port (dotted IPv4; port 0 picks an ephemeral port) with
+  /// SO_REUSEADDR and starts listening. Returns the bound port. Throws
+  /// std::runtime_error on failure.
+  std::uint16_t listen(const std::string& address, std::uint16_t port) {
+    close();
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (fd_ < 0) throw_errno("socket");
+    const int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
       close();
-      throw_errno("setsockopt(SO_REUSEPORT)");
+      throw std::runtime_error("bad bind address: " + address);
     }
-#else
-    close();
-    throw std::runtime_error("SO_REUSEPORT not supported on this platform");
-#endif
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
-    close();
-    throw std::runtime_error("bad bind address: " + address);
-  }
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
-    close();
-    throw_errno("bind " + address + ":" + std::to_string(port));
-  }
-  if (::listen(fd_, backlog) < 0) {
-    close();
-    throw_errno("listen");
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    close();
-    throw_errno("getsockname");
-  }
-  return ntohs(addr.sin_port);
-}
-
-int Listener::accept_client(bool* soft_error) {
-  if (soft_error) *soft_error = false;
-  const int cfd = ::accept4(fd_, nullptr, nullptr,
-                            SOCK_NONBLOCK | SOCK_CLOEXEC);
-  if (cfd < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED ||
-        errno == EINTR) {
-      return -1;
+    if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
+        0) {
+      close();
+      throw_errno("bind " + address + ":" + std::to_string(port));
     }
-    if (errno == EMFILE || errno == ENFILE || errno == ENOMEM ||
-        errno == ENOBUFS) {
-      // Resource pressure, not a broken listener: the pending connection
-      // stays in the backlog and a later accept (after an fd frees up)
-      // will get it. Crashing here is the one thing a loaded server must
-      // not do — report softly and let the caller back off.
-      if (soft_error) *soft_error = true;
-      return -1;
+    if (::listen(fd_, kListenBacklog) < 0) {
+      close();
+      throw_errno("listen");
     }
-    throw_errno("accept");
+    socklen_t len = sizeof addr;
+    if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+      close();
+      throw_errno("getsockname");
+    }
+    return ntohs(addr.sin_port);
   }
-  const int one = 1;
-  ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return cfd;
-}
 
-void Listener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  /// Accepts one pending client as a non-blocking fd; -1 when none pending.
+  /// fd exhaustion (EMFILE/ENFILE/ENOMEM/ENOBUFS) is reported by setting
+  /// *soft_error instead of throwing — the caller backs off and retries;
+  /// only genuinely unexpected failures throw.
+  [[nodiscard]] int accept_client(bool* soft_error) {
+    *soft_error = false;
+    const int cfd =
+        ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (cfd < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED ||
+          errno == EINTR) {
+        return -1;
+      }
+      if (errno == EMFILE || errno == ENFILE || errno == ENOMEM ||
+          errno == ENOBUFS) {
+        // Resource pressure, not a broken listener: the pending connection
+        // stays in the backlog and a later accept (after an fd frees up)
+        // will get it. Crashing here is the one thing a loaded server must
+        // not do — report softly and let the caller back off.
+        *soft_error = true;
+        return -1;
+      }
+      throw_errno("accept");
+    }
+    const int one = 1;
+    ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return cfd;
   }
-}
 
-// ---------------------------------------------------------------------------
-// Server
+  void close() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
 
-namespace {
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool open() const { return fd_ >= 0; }
+
+ private:
+  int fd_ = -1;
+};
+
 
 /// One client socket and its protocol state. Owned exclusively by the
-/// reactor that accepted (or was handed) it.
+/// reactor the acceptor dealt it to.
 struct Connection {
   int fd = -1;
   std::uint64_t id = 0;
@@ -206,14 +214,15 @@ struct Server::Impl {
   static constexpr std::uint64_t kWakeOwner = 0;
   static constexpr std::uint64_t kListenerOwner = 1;
 
-  /// One event loop: listener, wake pipe, completion sink, connection map,
-  /// and (through each connection) a set of owned monitor sessions. No
-  /// reactor ever touches another reactor's state — the only cross-reactor
-  /// traffic is the acceptor's fd handoff through the completion sink.
+  /// One event loop: wake pipe, completion sink, connection map, and
+  /// (through each connection) a set of owned monitor sessions; reactor 0,
+  /// the acceptor, also owns the listener. No reactor ever touches another
+  /// reactor's state — the only cross-reactor traffic is the acceptor's fd
+  /// handoff through the completion sinks and the wake a close sends it.
   struct Reactor {
     Impl& impl;
     const std::size_t index;
-    Listener listener;
+    Listener listener;  // open on the acceptor only
     int wake_read = -1;
     std::shared_ptr<CompletionSink> sink;
     std::unordered_map<std::uint64_t, Connection> connections;
@@ -222,12 +231,12 @@ struct Server::Impl {
     /// reactor's drain exit condition (the global gauge cannot tell whose
     /// in-flight work is whose).
     std::size_t local_inflight = 0;
-    /// fd-exhaustion state: while paused the listener is left out of the
-    /// poll set; cleared when one of this reactor's connections closes or
-    /// the retry backoff elapses.
+    /// The acceptor's fd-exhaustion state: while paused the listener is
+    /// left out of the poll set; cleared when one of its connections closes
+    /// or the retry backoff elapses.
     bool accept_paused = false;
     Clock::time_point accept_retry_at{};
-    std::uint64_t rr_next = 0;  // acceptor reactor's round-robin cursor
+    std::uint64_t rr_next = 0;  // the acceptor's round-robin cursor
 
     Reactor(Impl& owner, std::size_t idx) : impl(owner), index(idx) {
       int pipe_fds[2];
@@ -238,12 +247,14 @@ struct Server::Impl {
     }
 
     ~Reactor() {
-      for (auto& [id, conn] : connections) close_fd(conn);
+      // Not close_fd: the acceptor may already be destroyed.
+      for (auto& [id, conn] : connections) release(conn);
       if (wake_read >= 0) ::close(wake_read);
       // The sink closes the write end when the last callback releases it.
     }
 
-    void close_fd(Connection& conn) {
+    /// Closes the socket and reclaims what the connection held.
+    void release(Connection& conn) {
       if (conn.fd < 0) return;
       ::close(conn.fd);
       conn.fd = -1;
@@ -255,8 +266,16 @@ struct Server::Impl {
         (void)impl.engine.close_monitor(session);
       }
       conn.sessions.clear();
-      // An fd just freed up; if the listener was paused on exhaustion it
-      // can accept again.
+    }
+
+    /// release() from the run loop: a slot (and an fd) just freed up, so
+    /// the acceptor may accept again. It left the listener out of its poll
+    /// set at the connection cap or on fd exhaustion; a close on another
+    /// reactor must wake it, or queued clients wait for its next timeout.
+    void close_fd(Connection& conn) {
+      if (conn.fd < 0) return;
+      release(conn);
+      if (index != 0) impl.reactors[0]->sink->wake();
       accept_paused = false;
     }
 
@@ -288,23 +307,33 @@ struct Server::Impl {
       flush_writes(conn);
     }
 
-    void submit_query(Connection& conn, Request req) {
+    /// The in-flight bounds every query and monitor_open passes: the
+    /// global gauge (scope "server") and the connection's share (scope
+    /// "connection"). Admitted work is counted in flight; a rejected
+    /// request has already been answered with "overloaded".
+    bool admit(Connection& conn, std::uint64_t id) {
+      const char* scope = nullptr;
       if (impl.global_inflight.load(std::memory_order_relaxed) >=
           impl.options.max_inflight) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "server"));
-        return;
+        scope = "server";
+      } else if (conn.inflight >= impl.options.max_inflight_per_connection) {
+        scope = "connection";
       }
-      if (conn.inflight >= impl.options.max_inflight_per_connection) {
+      if (scope != nullptr) {
         impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "connection"));
-        return;
+        send_line(conn, render_overloaded(id, scope));
+        return false;
       }
-      apply_limits(req.query, impl.options.limits);
       impl.global_inflight.fetch_add(1, std::memory_order_relaxed);
       ++local_inflight;
       ++conn.inflight;
       impl.c_queries.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+
+    void submit_query(Connection& conn, Request req) {
+      if (!admit(conn, req.id)) return;
+      apply_limits(req.query, impl.options.limits);
 
       Query to_run = req.query;
       std::string label = req.label.empty() ? "inline" : std::move(req.label);
@@ -335,22 +364,8 @@ struct Server::Impl {
         send_line(conn, render_overloaded(req.id, "connection_sessions"));
         return;
       }
-      if (impl.global_inflight.load(std::memory_order_relaxed) >=
-          impl.options.max_inflight) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "server"));
-        return;
-      }
-      if (conn.inflight >= impl.options.max_inflight_per_connection) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "connection"));
-        return;
-      }
-      impl.global_inflight.fetch_add(1, std::memory_order_relaxed);
-      ++local_inflight;
-      ++conn.inflight;
+      if (!admit(conn, req.id)) return;
       ++conn.pending_opens;
-      impl.c_queries.fetch_add(1, std::memory_order_relaxed);
       // Compilation is the expensive half of a monitor's life — run it on
       // a worker like any query; stepping stays on the loop (O(1)/event).
       engine().submit_monitor_open(
@@ -483,9 +498,8 @@ struct Server::Impl {
     }
 
     void accept_clients(Clock::time_point now) {
-      // The connection cap is global: with reuseport listeners each
-      // reactor accepts its own kernel-routed share; in handoff mode only
-      // this (acceptor) reactor runs the loop and deals the fds out.
+      // The connection cap is global; only the acceptor runs this loop,
+      // dealing client k to reactor k mod N.
       while (impl.c_open.load(std::memory_order_relaxed) <
              impl.options.max_connections) {
         bool soft_error = false;
@@ -510,14 +524,12 @@ struct Server::Impl {
         impl.accept_error_logged.store(false, std::memory_order_relaxed);
         impl.c_accepted.fetch_add(1, std::memory_order_relaxed);
         impl.c_open.fetch_add(1, std::memory_order_relaxed);
-        if (impl.handoff_mode && impl.reactors.size() > 1) {
-          const std::size_t target = rr_next++ % impl.reactors.size();
-          if (target != index) {
-            impl.reactors[target]->sink->post_fd(cfd);
-            continue;
-          }
+        const std::size_t target = rr_next++ % impl.reactors.size();
+        if (target == index) {
+          adopt(cfd, now);
+        } else {
+          impl.reactors[target]->sink->post_fd(cfd);
         }
-        adopt(cfd, now);
       }
     }
 
@@ -650,7 +662,7 @@ struct Server::Impl {
         for (auto& [id, conn] : connections) {
           short events = 0;
           if (!stopping && !conn.closing && !conn.read_closed &&
-              conn.out.size() <= impl.options.max_write_buffer) {
+              conn.out.size() <= kMaxWriteBuffer) {
             events |= POLLIN;
           }
           if (!conn.out.empty()) events |= POLLOUT;
@@ -742,7 +754,6 @@ struct Server::Impl {
   ServerOptions options;
   std::uint16_t bound_port = 0;
   bool started = false;
-  bool handoff_mode = false;  // single acceptor + round-robin fd handoff
   std::atomic<bool> stop{false};
 
   /// In-flight queries/opens across all reactors — the "server" overload
@@ -796,30 +807,6 @@ struct Server::Impl {
                                                     stopping)
         << "}";
     return out.str();
-  }
-
-  void start_listeners() {
-    const std::size_t n = reactors.size();
-    handoff_mode = options.force_acceptor_handoff || n == 1;
-    if (n > 1 && !handoff_mode) {
-      try {
-        bound_port = reactors[0]->listener.listen(
-            options.bind_address, options.port, options.backlog,
-            /*reuse_port=*/true);
-        for (std::size_t i = 1; i < n; ++i) {
-          reactors[i]->listener.listen(options.bind_address, bound_port,
-                                       options.backlog, /*reuse_port=*/true);
-        }
-        return;
-      } catch (const std::exception&) {
-        // No SO_REUSEPORT (or it was refused): one listener on reactor 0,
-        // accepted fds dealt round-robin through the completion sinks.
-        for (auto& reactor : reactors) reactor->listener.close();
-        handoff_mode = true;
-      }
-    }
-    bound_port = reactors[0]->listener.listen(options.bind_address,
-                                              options.port, options.backlog);
   }
 
   void stop_all() {
@@ -881,7 +868,8 @@ std::uint16_t Server::start() {
   // send() also passes MSG_NOSIGNAL, but third-party code (and the client
   // library, when used in-process) writes to sockets too.
   std::signal(SIGPIPE, SIG_IGN);
-  impl_->start_listeners();
+  impl_->bound_port = impl_->reactors[0]->listener.listen(
+      impl_->options.bind_address, impl_->options.port);
   impl_->started = true;
   return impl_->bound_port;
 }

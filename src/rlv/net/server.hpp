@@ -7,15 +7,13 @@
 //
 // Threading model: N reactor threads (options.reactors; run() spawns
 // N-1 and becomes reactor 0), each a self-contained poll(2) event loop
-// owning its own listener fd, pollfd table, connection map, wake pipe,
-// completion sink, and monitor-session-ownership sets — no connection
-// state is ever shared across reactors, so the loops need no locks
-// between them. Incoming connections are spread by the kernel via
-// SO_REUSEPORT (every reactor listens on the same address); when that
-// is unavailable (or force_acceptor_handoff is set), reactor 0 keeps
-// the only listener and hands accepted fds round-robin to the other
-// reactors through their completion sinks. Reactors never execute a
-// query: query work happens on the Engine's worker pool via
+// owning its own pollfd table, connection map, wake pipe, completion
+// sink, and monitor-session-ownership sets — no connection state is ever
+// shared across reactors, so the loops need no locks between them.
+// Reactor 0 is the one acceptor: it owns the only listener and deals
+// accepted fds round-robin, so client k lands on reactor k mod N (the
+// others receive theirs through their completion sinks). Reactors never
+// execute a query: query work happens on the Engine's worker pool via
 // Engine::submit, results are rendered on the worker thread (rendering
 // re-parses the system text — keep that off the loops) and handed back
 // through the owning reactor's mutex-protected completion queue plus a
@@ -25,22 +23,23 @@
 // Backpressure: in-flight queries are bounded per connection and globally;
 // a request over either bound is answered immediately with the structured
 // "overloaded" rejection (scope "connection" / "server") instead of
-// queueing without bound or stalling the socket. A connection whose write
-// buffer exceeds max_write_buffer stops being read until the client
-// drains it (TCP backpressure).
+// queueing without bound or stalling the socket. A connection with more
+// than 8 MiB of unsent responses stops being read until the client drains
+// it (TCP backpressure). At max_connections the acceptor stops polling
+// the listener; a close on any reactor wakes it to accept again.
 //
 // Shutdown: request_stop() is async-signal-safe (an atomic store plus a
 // write to every reactor's self-pipe) so a SIGINT/SIGTERM handler can
-// call it directly. Each reactor then stops accepting and reading, lets
-// its in-flight queries finish under their Budget deadlines
+// call it directly. The acceptor closes the listener; each reactor stops
+// reading, lets its in-flight queries finish under their Budget deadlines
 // (apply_limits gives every served query one), flushes buffered
 // responses, reclaims its connections' monitor sessions, and returns;
 // a drain deadline bounds the wait against budget-less stragglers.
 // run() returns once every reactor has drained.
 //
 // fd exhaustion: accept(2) failing with EMFILE/ENFILE/ENOMEM/ENOBUFS is
-// an overload signal, not a crash — the reactor logs once, bumps
-// accept_soft_errors, and stops polling its listener until one of its
+// an overload signal, not a crash — the acceptor logs once, bumps
+// accept_soft_errors, and stops polling the listener until one of its
 // connections closes (or a short retry backoff elapses). Established
 // connections keep being served the whole time.
 
@@ -56,16 +55,12 @@ namespace rlv::net {
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; start() returns the bound port
-  int backlog = 64;
   std::size_t max_connections = 256;
   std::size_t max_inflight_per_connection = 8;
   std::size_t max_inflight = 64;  // across all connections
   /// A request line (and thus an embedded system text) larger than this is
   /// rejected and the connection closed — the parser never sees it.
   std::size_t max_request_bytes = 1 << 20;
-  /// Above this many buffered unsent response bytes the connection is not
-  /// read until the client catches up.
-  std::size_t max_write_buffer = 8 << 20;
   std::uint64_t idle_timeout_ms = 120000;  // 0 = never close idle clients
   std::uint64_t drain_timeout_ms = 5000;   // bound on the graceful drain
   /// Monitor sessions untouched for this long are reclaimed by the loop
@@ -74,46 +69,10 @@ struct ServerOptions {
   std::uint64_t session_idle_timeout_ms = 0;
   /// Event-loop reactors. 1 keeps the classic single-loop server; N > 1
   /// runs N independent loops (run() spawns N-1 threads), sharing only the
-  /// engine, the global in-flight gauge, and the stats counters.
+  /// engine, the global in-flight gauge, and the stats counters. Client k
+  /// lands on reactor k mod N.
   std::size_t reactors = 1;
-  /// Forces the single-acceptor round-robin fd-handoff path even where
-  /// SO_REUSEPORT is available. Deterministic connection placement —
-  /// client k lands on reactor k mod N — which the multi-reactor tests
-  /// rely on; also the automatic fallback when a reuseport bind fails.
-  bool force_acceptor_handoff = false;
   ServerLimits limits;  // caps/defaults for per-request overrides
-};
-
-/// RAII listening socket (IPv4, non-blocking). Split out of Server so tests
-/// and future front ends (e.g. a unix-socket flavor) can reuse it.
-class Listener {
- public:
-  Listener() = default;
-  ~Listener() { close(); }
-
-  Listener(const Listener&) = delete;
-  Listener& operator=(const Listener&) = delete;
-
-  /// Binds address:port (dotted IPv4; port 0 picks an ephemeral port) with
-  /// SO_REUSEADDR (plus SO_REUSEPORT when `reuse_port` — the multi-reactor
-  /// mode, where every reactor binds the same port and the kernel spreads
-  /// connections) and starts listening. Returns the bound port. Throws
-  /// std::runtime_error on failure.
-  std::uint16_t listen(const std::string& address, std::uint16_t port,
-                       int backlog, bool reuse_port = false);
-
-  /// Accepts one pending client as a non-blocking fd; -1 when none pending.
-  /// fd exhaustion (EMFILE/ENFILE/ENOMEM/ENOBUFS) is reported by setting
-  /// *soft_error instead of throwing — the caller backs off and retries;
-  /// only genuinely unexpected failures throw.
-  [[nodiscard]] int accept_client(bool* soft_error = nullptr);
-
-  void close();
-  [[nodiscard]] int fd() const { return fd_; }
-  [[nodiscard]] bool open() const { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
 };
 
 class Server {

@@ -142,6 +142,20 @@ TEST(EngineMonitor, OpenStepCloseDetectsDoomWithWitness) {
   EXPECT_EQ(stats.monitor.dooms, 1u);
 }
 
+TEST(EngineMonitor, OpenIsChargedToStageTotals) {
+  // Compiling a monitor parses, trims, translates and builds a product like
+  // any query; that work must show in the engine-wide stage totals.
+  Engine engine;
+  MonitorSpec spec;
+  spec.system = serialize_system(figure2_system());
+  spec.formula = "G F result";
+  ASSERT_TRUE(engine.open_monitor(spec).ok());
+
+  const EngineStats stats = engine.stats();
+  EXPECT_GE(stats.stages[Stage::kParse].calls, 1u);
+  EXPECT_GT(stats.stages.total_nanos(), 0u);
+}
+
 TEST(EngineMonitor, EventCapRejectsBatchWhole) {
   EngineOptions options;
   options.max_session_events = 5;

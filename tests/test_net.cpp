@@ -573,11 +573,9 @@ TEST(NetServer, GracefulDrainAnswersInFlightThenCloses) {
 // ---------------------------------------------------------------------------
 // Multi-reactor serving.
 
-TEST(NetServerMultiReactor, ReuseportReactorsServeQueries) {
-  // The default multi-reactor mode: every reactor binds the same port with
-  // SO_REUSEPORT and the kernel spreads connections. Placement is not
-  // deterministic, so this test only checks serving correctness and the
-  // aggregated counters.
+TEST(NetServerMultiReactor, TwoReactorsServeQueries) {
+  // Serving correctness and the aggregated counters across two loops: the
+  // acceptor adopts clients 0 and 2 and deals 1 and 3 to reactor 1.
   net::ServerOptions options;
   options.reactors = 2;
   TestServer ts(options);
@@ -600,10 +598,7 @@ TEST(NetServerMultiReactor, ReuseportReactorsServeQueries) {
 
 TEST(NetServerMultiReactor, EightClientsOnFourReactorsMatchDirectEngine) {
   net::ServerOptions options;
-  options.reactors = 4;
-  // Deterministic placement (client k lands on reactor k mod 4) and covers
-  // the fd-handoff fallback that non-reuseport platforms always take.
-  options.force_acceptor_handoff = true;
+  options.reactors = 4;  // client k lands on reactor k mod 4
   TestServer ts(options);
   EXPECT_EQ(ts.server().counters().reactors, 4u);
 
@@ -673,8 +668,7 @@ TEST(NetServerMultiReactor, EightClientsOnFourReactorsMatchDirectEngine) {
 
 TEST(NetServerMultiReactor, MonitorSessionsReclaimedOnRstOnEveryReactor) {
   net::ServerOptions options;
-  options.reactors = 4;
-  options.force_acceptor_handoff = true;  // client k -> reactor k mod 4
+  options.reactors = 4;  // client k -> reactor k mod 4
   TestServer ts(options);
 
   MonitorSpec spec;
@@ -714,7 +708,6 @@ TEST(NetServerMultiReactor, MonitorSessionsReclaimedOnRstOnEveryReactor) {
 TEST(NetServerMultiReactor, GracefulDrainReclaimsSessionsOnEveryReactor) {
   net::ServerOptions options;
   options.reactors = 2;
-  options.force_acceptor_handoff = true;
   TestServer ts(options);
 
   MonitorSpec spec;
@@ -743,6 +736,45 @@ TEST(NetServerMultiReactor, GracefulDrainReclaimsSessionsOnEveryReactor) {
   for (net::Client& client : clients) {
     EXPECT_THROW((void)client.read_line(), std::runtime_error);
   }
+}
+
+TEST(NetServerMultiReactor, SlotFreedOnAnotherReactorResumesAccepting) {
+  // At the connection cap the acceptor stops polling its listener. A slot
+  // freed by a close on reactor 1 must wake it, or the queued client waits
+  // for the acceptor's next poll timeout (up to a minute).
+  net::ServerOptions options;
+  options.reactors = 2;
+  options.max_connections = 2;
+  TestServer ts(options);
+
+  net::Client a = ts.connect_client();  // reactor 0
+  EXPECT_TRUE(parse_json(a.call(R"({"op":"ping","id":1})"))
+                  .find("ok")
+                  ->as_bool());
+  net::Client b = ts.connect_client();  // reactor 1
+  EXPECT_TRUE(parse_json(b.call(R"({"op":"ping","id":2})"))
+                  .find("ok")
+                  ->as_bool());
+  ASSERT_EQ(ts.server().counters().connections_open, 2u);
+  // A second round trip on A, then a pause, so the acceptor is parked in
+  // poll(2) with the listener left out before the slot frees up.
+  EXPECT_TRUE(parse_json(a.call(R"({"op":"ping","id":3})"))
+                  .find("ok")
+                  ->as_bool());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // C completes the TCP handshake but waits in the listen backlog.
+  net::Client c = ts.connect_client();
+  struct timeval recv_timeout{5, 0};  // fail, don't hang, if never accepted
+  ::setsockopt(c.fd(), SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof recv_timeout);
+  c.send_line(R"({"op":"ping","id":4})");
+  b.close();
+
+  const JsonValue pong = parse_json(c.read_line());
+  EXPECT_TRUE(pong.find("ok")->as_bool());
+  EXPECT_EQ(pong.find("id")->as_uint(), 4u);
+  EXPECT_EQ(ts.server().counters().connections_accepted, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,10 +73,11 @@
 //   --max-conn-sessions N  per-connection monitor-session cap (4096)
 //   --max-steps-per-request N  monitor_step batch cap (8192)
 //   --session-idle-timeout-ms N  reclaim idle monitor sessions (0 = never)
-//   --reactors N           event-loop threads (default 1); each reactor
-//                          owns its own listener (SO_REUSEPORT), pollfd
-//                          table, and connections — size to the cores you
-//                          can spare beyond the worker pool
+//   --reactors N           event-loop threads (default 1); reactor 0
+//                          accepts and deals connections round-robin,
+//                          each reactor owns its pollfd table and
+//                          connections — size to the cores you can spare
+//                          beyond the worker pool
 //
 // Exit status: 0 = every line executed (whatever the verdicts) or clean
 // serve shutdown, 2 = bad invocation, unreadable batch file, or a
