@@ -10,12 +10,12 @@
 #     scenario families, the budget-governed unfolder, and the `.pn`
 #     format round-trip), with the unfolder's per-run counters
 #     (graph_states, charged_states, peak_memory_bytes) carried through.
-# The serving files hold the loadgen summary line followed by the daemon's
-# stats record for the same run; the engine file holds per-benchmark median
-# real times and, when BASELINE_INCLUSION/BASELINE_ENGINE point at JSON
-# captures of an earlier build, the speedup against that baseline. Run on
-# an otherwise idle machine with a Release build dir; numbers move with
-# core count and with -O level.
+# The serving files hold the loadgen summary line followed by the stats
+# record of a daemon that served that leg alone; the engine file holds
+# per-benchmark median real times and, when BASELINE_INCLUSION/
+# BASELINE_ENGINE point at JSON captures of an earlier build, the speedup
+# against that baseline. Run on an otherwise idle machine with a Release
+# build dir; numbers move with core count and with -O level.
 #
 # usage: [BASELINE_INCLUSION=old.json] [BASELINE_ENGINE=old.json] \
 #          [BASELINE_PETRI=old.json] scripts/bench_refresh.sh [port] [build-dir]
@@ -27,20 +27,31 @@ BUILD="${2:-build}"
 
 cmake --build "$BUILD" --target rlvd rlv_loadgen -j
 
-"$BUILD"/tools/rlvd --serve "$PORT" --jobs 2 &
-SERVER=$!
-trap 'kill -9 "$SERVER" 2>/dev/null || true' EXIT
-sleep 1
+# Every leg gets a fresh daemon (extra rlvd flags as arguments), so its
+# stats record counts that leg alone; stop_daemon SIGTERM-drains it, and the
+# EXIT trap kills one that a failed step left running.
+SERVER=
+start_daemon() {
+  "$BUILD"/tools/rlvd --serve "$PORT" --jobs 2 "$@" &
+  SERVER=$!
+  sleep 1
+}
+stop_daemon() {
+  kill -TERM "$SERVER"
+  wait "$SERVER"
+  SERVER=
+}
+trap 'if [ -n "$SERVER" ]; then kill -9 "$SERVER" 2>/dev/null || true; fi' EXIT
 
+start_daemon
 "$BUILD"/tools/rlv_loadgen --port "$PORT" \
   --connections 4 --requests 256 --stats > BENCH_net.json
+stop_daemon
 
+start_daemon
 "$BUILD"/tools/rlv_loadgen --port "$PORT" --monitor \
   --sessions 8 --events 2000 --batch 64 --stats > BENCH_monitor.json
-
-kill -TERM "$SERVER"
-wait "$SERVER"
-trap - EXIT
+stop_daemon
 
 # E28 reactor saturation sweep: one warm measured leg per reactor count,
 # each against a fresh daemon. Reactor scaling tracks physical cores — on
@@ -48,10 +59,7 @@ trap - EXIT
 # so the record carries the core count for the reader to judge against.
 SWEEP_TMP="$(mktemp)"
 for R in 1 2 4; do
-  "$BUILD"/tools/rlvd --serve "$PORT" --jobs 2 --reactors "$R" &
-  SERVER=$!
-  trap 'kill -9 "$SERVER" 2>/dev/null || true' EXIT
-  sleep 1
+  start_daemon --reactors "$R"
   # Warm-up leg pays the verdict-cache misses; the measured leg is all-hit.
   "$BUILD"/tools/rlv_loadgen --port "$PORT" \
     --connections 8 --requests 64 > /dev/null
@@ -59,9 +67,7 @@ for R in 1 2 4; do
   "$BUILD"/tools/rlv_loadgen --port "$PORT" \
     --connections 8 --requests 256 | tr -d '\n' >> "$SWEEP_TMP"
   printf '}\n' >> "$SWEEP_TMP"
-  kill -TERM "$SERVER"
-  wait "$SERVER"
-  trap - EXIT
+  stop_daemon
 done
 python3 - "$SWEEP_TMP" <<'PYEOF' >> BENCH_net.json
 import json, os, sys

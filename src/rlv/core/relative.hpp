@@ -108,7 +108,9 @@ struct SatisfactionResult {
 // drops an entry whose computation threw).
 
 /// Lemma 4.3 over prebuilt automata: pre(behaviors) ⊆ pre(behaviors ∩ P),
-/// where `pre_behaviors` is prefix_nfa(behaviors). Throws ResourceExhausted.
+/// where `pre_behaviors` is prefix_nfa(behaviors). For behaviors built by
+/// limit_of_prefix_closed, which are ω-trim and all-accepting, that is
+/// behaviors.structure() itself. Throws ResourceExhausted.
 [[nodiscard]] RelativeLivenessResult decide_relative_liveness(
     const Buchi& behaviors, const Nfa& pre_behaviors, const Buchi& property,
     InclusionAlgorithm algorithm, Budget* budget,

@@ -20,7 +20,6 @@
 #include "rlv/monitor/session.hpp"
 #include "rlv/omega/complement.hpp"
 #include "rlv/omega/limit.hpp"
-#include "rlv/omega/live.hpp"
 #include "rlv/util/hash.hpp"
 
 namespace rlv {
@@ -69,9 +68,11 @@ std::string_view inclusion_algorithm_name(InclusionAlgorithm algorithm) {
 
 namespace {
 
+/// A system text's parse, kept only as lim(L) (Definition 6.2). lim(L) is
+/// ω-trim and all-accepting, so its structure() is pre(L_ω) as an NFA.
 struct ParsedSystem {
-  Nfa nfa;
-  std::uint64_t fingerprint;  // structural, not text: see fingerprint.hpp
+  std::uint64_t fingerprint;  // of the parse, structural: see fingerprint.hpp
+  Buchi behaviors;
 };
 
 /// A property automaton parsed and remapped onto one system alphabet.
@@ -97,20 +98,17 @@ struct TranslationKeyHash {
   }
 };
 
-/// A fingerprint bound to one alphabet object: property automata are
-/// remapped onto, and pre(L_ω) is trimmed from, the alphabet of one cached
-/// behaviors automaton. The cached value holds that alphabet, so its
-/// address cannot be reused while the entry lives.
-struct AlphabetBoundKey {
-  std::uint64_t fingerprint;  // of the automaton text, or of the system
+/// Property automata are remapped onto one systems entry's alphabet. The
+/// cached value holds it, so its address is not reused while the entry lives.
+struct PropertyKey {
+  std::uint64_t fingerprint;  // of the automaton text
   const void* alphabet;       // target alphabet identity
 
-  friend bool operator==(const AlphabetBoundKey&,
-                         const AlphabetBoundKey&) = default;
+  friend bool operator==(const PropertyKey&, const PropertyKey&) = default;
 };
 
-struct AlphabetBoundKeyHash {
-  std::size_t operator()(const AlphabetBoundKey& k) const {
+struct PropertyKeyHash {
+  std::size_t operator()(const PropertyKey& k) const {
     return hash_combine(std::hash<std::uint64_t>{}(k.fingerprint),
                         std::hash<const void*>{}(k.alphabet));
   }
@@ -141,13 +139,14 @@ struct MonitorKeyHash {
 /// *and presentation*: the inclusion algorithm is part of the key because
 /// subset and antichain report different (both correct) counterexample
 /// words — two queries differing only in `algorithm` must never alias to
-/// one cached verdict.
+/// one cached verdict. The certify flag is in it for MonitorKey's reason.
 struct VerdictKey {
   std::uint64_t system;    // structural fingerprint
   const void* formula;     // interned node (null for automaton flavor)
   std::uint64_t property;  // remapped property fingerprint (0 for formula)
   CheckKind kind;
   InclusionAlgorithm algorithm;
+  bool certify;
 
   friend bool operator==(const VerdictKey&, const VerdictKey&) = default;
 };
@@ -158,7 +157,8 @@ struct VerdictKeyHash {
     h = hash_combine(h, std::hash<const void*>{}(k.formula));
     h = hash_combine(h, std::hash<std::uint64_t>{}(k.property));
     h = hash_combine(h, static_cast<std::size_t>(k.kind));
-    return hash_combine(h, static_cast<std::size_t>(k.algorithm));
+    h = hash_combine(h, static_cast<std::size_t>(k.algorithm));
+    return hash_combine(h, k.certify ? 1 : 0);
   }
 };
 
@@ -221,8 +221,6 @@ struct Engine::Impl {
   explicit Impl(const EngineOptions& opts)
       : options(opts),
         systems(opts.cache_capacity, cache_shards(opts)),
-        behaviors(opts.cache_capacity, cache_shards(opts)),
-        prefixes(opts.cache_capacity, cache_shards(opts)),
         translations(opts.cache_capacity, cache_shards(opts)),
         properties(opts.cache_capacity, cache_shards(opts)),
         verdicts(opts.cache_capacity * 8, cache_shards(opts)),
@@ -232,11 +230,8 @@ struct Engine::Impl {
 
   EngineOptions options;
   MemoCache<std::uint64_t, ParsedSystem> systems;
-  MemoCache<std::uint64_t, Buchi> behaviors;
-  MemoCache<AlphabetBoundKey, Nfa, AlphabetBoundKeyHash> prefixes;
   MemoCache<TranslationKey, Buchi, TranslationKeyHash> translations;
-  MemoCache<AlphabetBoundKey, ParsedProperty, AlphabetBoundKeyHash>
-      properties;
+  MemoCache<PropertyKey, ParsedProperty, PropertyKeyHash> properties;
   MemoCache<VerdictKey, Verdict, VerdictKeyHash> verdicts;
   MemoCache<MonitorKey, monitor::MonitorAutomaton, MonitorKeyHash> monitors;
   /// The streaming-session state. One mutex guards the table: the hot path
@@ -269,26 +264,11 @@ struct Engine::Impl {
     });
   }
 
-  /// The cached lim(L) of a parsed system. The entry is keyed by structure,
-  /// so it may have been built from another text with its own alphabet
-  /// object: everything a query derives is bound to *this* automaton's
-  /// alphabet, never to the query's own parse.
-  std::shared_ptr<const Buchi> cached_behaviors(const ParsedSystem& sys,
-                                                Budget* budget) {
-    return behaviors.get_or_compute(sys.fingerprint, [&] {
-      StageScope scope(budget, Stage::kPreTrim);
-      return limit_of_prefix_closed(sys.nfa);
-    });
-  }
-
   /// A query's or monitor spec's inputs, resolved through the caches.
   struct Resolved {
     std::shared_ptr<const ParsedSystem> system;
     std::optional<Formula> formula;
-    /// Automaton flavor only: the cached behaviors and the property
-    /// remapped onto their alphabet. A formula query fetches its behaviors
-    /// only when its verdict is not cached.
-    std::shared_ptr<const Buchi> behaviors;
+    /// Automaton flavor only: P remapped onto system->behaviors' alphabet.
     std::shared_ptr<const ParsedProperty> property;
   };
 
@@ -298,17 +278,15 @@ struct Engine::Impl {
     {
       StageScope scope(budget, Stage::kParse);
       r.system = systems.get_or_compute(fingerprint_text(system_text), [&] {
-        Nfa nfa = parse_system(system_text);
-        const std::uint64_t fp = fingerprint_nfa(nfa);
-        return ParsedSystem{std::move(nfa), fp};
+        const Nfa nfa = parse_system(system_text);
+        StageScope trim(budget, Stage::kPreTrim);
+        return ParsedSystem{fingerprint_nfa(nfa), limit_of_prefix_closed(nfa)};
       });
       if (property_automaton.empty()) r.formula = parse_ltl(formula);
     }
     if (!property_automaton.empty()) {
-      r.behaviors = cached_behaviors(*r.system, budget);
-      const AlphabetRef& sigma = r.behaviors->alphabet();
-      const AlphabetBoundKey key{fingerprint_text(property_automaton),
-                                 sigma.get()};
+      const AlphabetRef& sigma = r.system->behaviors.alphabet();
+      const PropertyKey key{fingerprint_text(property_automaton), sigma.get()};
       r.property = properties.get_or_compute(key, [&] {
         StageScope scope(budget, Stage::kParse);
         Buchi remapped = Buchi::from_structure(remap_alphabet(
@@ -332,10 +310,10 @@ struct Engine::Impl {
 
   /// Fetches the cached intermediates and hands them to the decision
   /// procedures of rlv/core/relative.hpp and rlv/fair/fair_check.hpp.
-  Verdict decide(const Resolved& r, const Query& query, Budget* budget) {
-    const auto behaviors_aut =
-        r.behaviors ? r.behaviors : cached_behaviors(*r.system, budget);
-    const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
+  Verdict decide(const Resolved& r, const Query& query, bool certify,
+                 Budget* budget) {
+    const Buchi& behaviors = r.system->behaviors;
+    const Labeling lambda = Labeling::canonical(behaviors.alphabet());
     // ¬P: pushed-in negation for formulas, rank-based complementation for
     // automata (the exponential path the Budget exists for). A complement
     // is not memoized on its own: the verdict cache already absorbs
@@ -357,14 +335,9 @@ struct Engine::Impl {
     switch (query.kind) {
       case CheckKind::kRelativeLiveness: {
         const auto property_aut = positive(r, lambda, budget);
-        const auto pre_system = prefixes.get_or_compute(
-            {r.system->fingerprint, behaviors_aut->alphabet().get()}, [&] {
-              StageScope scope(budget, Stage::kPreTrim);
-              return prefix_nfa(*behaviors_aut);
-            });
-        RelativeLivenessResult res =
-            decide_relative_liveness(*behaviors_aut, *pre_system, *property_aut,
-                                     query.algorithm, budget, threads);
+        RelativeLivenessResult res = decide_relative_liveness(
+            behaviors, behaviors.structure(), *property_aut, query.algorithm,
+            budget, threads);
         verdict.holds = res.holds;
         verdict.violating_prefix = std::move(res.violating_prefix);
         break;
@@ -373,14 +346,14 @@ struct Engine::Impl {
         const auto property_aut = positive(r, lambda, budget);
         const auto negated_aut = negated();
         RelativeSafetyResult res = decide_relative_safety(
-            *behaviors_aut, *property_aut, *negated_aut, budget);
+            behaviors, *property_aut, *negated_aut, budget);
         verdict.holds = res.holds;
         verdict.counterexample = std::move(res.counterexample);
         break;
       }
       case CheckKind::kSatisfaction: {
         SatisfactionResult res =
-            decide_satisfaction(*behaviors_aut, *negated(), budget);
+            decide_satisfaction(behaviors, *negated(), budget);
         verdict.holds = res.holds;
         verdict.counterexample = std::move(res.counterexample);
         break;
@@ -389,7 +362,7 @@ struct Engine::Impl {
       case CheckKind::kFairWeak: {
         const auto negated_aut = negated();
         const FairCheckResult res = check_fair_satisfaction_negated(
-            *behaviors_aut, *negated_aut,
+            behaviors, *negated_aut,
             query.kind == CheckKind::kFairStrong
                 ? FairnessKind::kStrongTransition
                 : FairnessKind::kWeakTransition);
@@ -405,7 +378,7 @@ struct Engine::Impl {
     // rejected witness throws — run_one reports it through Verdict::error
     // and get_or_compute drops the cache entry, so a bad witness is never
     // served to anyone.
-    if ((options.certify_verdicts || query.certify) && !verdict.holds) {
+    if (certify && !verdict.holds) {
       StageScope scope(budget, Stage::kOther);
       certificates_checked.fetch_add(1, std::memory_order_relaxed);
       // Fairness counterexamples get the satisfaction check (membership
@@ -414,24 +387,23 @@ struct Engine::Impl {
       if (query.kind == CheckKind::kRelativeLiveness) {
         validation = cert::validate(
             RelativeLivenessResult{false, verdict.violating_prefix, {}},
-            *behaviors_aut, *positive(r, lambda, budget));
+            behaviors, *positive(r, lambda, budget));
       } else if (!verdict.counterexample) {
         validation = {false, true, "missing counterexample lasso"};
       } else if (query.kind == CheckKind::kRelativeSafety) {
         validation =
             r.property
-                ? cert::check_safety_lasso(*verdict.counterexample,
-                                           *behaviors_aut,
+                ? cert::check_safety_lasso(*verdict.counterexample, behaviors,
                                            r.property->automaton)
                 : cert::check_safety_lasso(
-                      *verdict.counterexample, *behaviors_aut,
+                      *verdict.counterexample, behaviors,
                       *positive(r, lambda, budget), *r.formula, lambda);
       } else {
         validation = r.property ? cert::check_violation_lasso(
-                                      *verdict.counterexample, *behaviors_aut,
+                                      *verdict.counterexample, behaviors,
                                       r.property->automaton)
                                 : cert::check_violation_lasso(
-                                      *verdict.counterexample, *behaviors_aut,
+                                      *verdict.counterexample, behaviors,
                                       *r.formula, lambda);
       }
       if (!validation.valid) {
@@ -466,15 +438,16 @@ struct Engine::Impl {
     try {
       const Resolved r = resolve(query.system, query.formula,
                                  query.property_automaton, &budget);
+      const bool certify = options.certify_verdicts || query.certify;
       const VerdictKey key{r.system->fingerprint,
                            r.formula ? r.formula->raw() : nullptr,
                            r.property ? r.property->fingerprint : 0,
-                           query.kind, query.algorithm};
+                           query.kind, query.algorithm, certify};
       // A ResourceExhausted escaping decide() propagates out of
       // get_or_compute, which drops the entry — exhausted outcomes are
       // never cached, so a retry with a larger budget recomputes.
       verdict = *verdicts.get_or_compute(
-          key, [&] { return decide(r, query, &budget); });
+          key, [&] { return decide(r, query, certify, &budget); });
     } catch (const ResourceExhausted& e) {
       verdict = Verdict{};
       verdict.resource_exhausted = true;
@@ -527,12 +500,10 @@ struct Engine::Impl {
       // budget or a refuted witness) drops the cache entry, so a retry
       // recompiles instead of serving a half-built automaton.
       const auto automaton = monitors.get_or_compute(key, [&] {
-        const auto behaviors_aut =
-            r.behaviors ? r.behaviors : cached_behaviors(*r.system, &budget);
-        const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
+        const Buchi& behaviors = r.system->behaviors;
+        const Labeling lambda = Labeling::canonical(behaviors.alphabet());
         return monitor::MonitorAutomaton(
-            *behaviors_aut, *positive(r, lambda, &budget), spec.certify,
-            &budget);
+            behaviors, *positive(r, lambda, &budget), spec.certify, &budget);
       });
       std::lock_guard lock(session_mutex);
       const std::uint64_t id = sessions.open(automaton, now_ms());
@@ -682,8 +653,6 @@ std::size_t Engine::sweep_idle_sessions(std::uint64_t max_idle_ms) {
 EngineStats Engine::stats() const {
   EngineStats stats;
   stats.systems = impl_->systems.counters();
-  stats.behaviors = impl_->behaviors.counters();
-  stats.prefixes = impl_->prefixes.counters();
   stats.translations = impl_->translations.counters();
   stats.properties = impl_->properties.counters();
   stats.verdicts = impl_->verdicts.counters();

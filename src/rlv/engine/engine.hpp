@@ -6,12 +6,11 @@
 // caches (see cache.hpp for the concurrency guarantees and query.hpp for
 // the protocol types):
 //
-//   systems       raw text        → parsed Nfa (+ structural fingerprint)
-//   behaviors     system          → lim(L) Büchi automaton (Definition 6.2)
-//   prefixes      system          → trimmed pre(L_ω) NFA (Lemma 4.3's LHS)
+//   systems       raw text        → lim(L) Büchi automaton (Definition 6.2)
 //   translations  formula×Σ×sign  → GPVW Büchi automaton
 //   properties    aut text×Σ      → parsed + remapped property Büchi
-//   verdicts      system×P×kind×algorithm → final Verdict
+//   verdicts      system×P×kind×algorithm×certify → final Verdict
+//   monitors      system×P×certify → compiled doom-monitor automaton
 //
 // Resource governance: with timeout_ms / max_states set, every query runs
 // under its own rlv::Budget; a tripped limit yields a verdict with
@@ -35,8 +34,8 @@
 // is as valid as any other.
 //
 // Real verification workloads are many properties against few systems;
-// the caches turn that shape into one parse, one limit construction, one
-// pre(L_ω) trim per system, and one translation per formula polarity.
+// the caches turn that shape into one parse and one limit construction per
+// system text, and one translation per formula polarity.
 
 #include <cstddef>
 #include <functional>

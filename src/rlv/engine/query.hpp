@@ -4,9 +4,9 @@
 // self-contained text — the system in the rlv/io format and the property as
 // a PLTL formula or a Büchi automaton — so that batches can be shipped over
 // a wire or a file without sharing in-memory objects; the engine's caches
-// recover all sharing (identical system text parses once, identical
-// formulas translate once per alphabet, identical property automata parse
-// and remap once per alphabet).
+// recover all sharing (identical system text parses and builds its
+// behaviors once, identical formulas translate once per alphabet, identical
+// property automata parse and remap once per alphabet).
 
 #include <cstdint>
 #include <optional>
@@ -73,10 +73,9 @@ struct Query {
   std::uint64_t max_states = 0;
   /// Request-level certification opt-in, ORed with
   /// EngineOptions::certify_verdicts: a query can strengthen the engine's
-  /// policy but never weaken it (a certify=false request must not push an
-  /// unvalidated verdict into a cache that certified clients share).
-  /// Certification happens at compute time, so a cache hit serves the
-  /// verdict as validated (or not) when it was first computed.
+  /// policy but never weaken it. The effective flag is part of the verdict
+  /// cache key, so a certified request is only ever served a verdict whose
+  /// witness was validated when it was computed.
   bool certify = false;
 };
 
@@ -184,12 +183,10 @@ struct MonitorCounters {
 
 /// Counter snapshot of every engine cache plus batch totals.
 struct EngineStats {
-  CacheCounters systems;       // text → parsed Nfa
-  CacheCounters behaviors;     // system → lim(L) Büchi automaton
-  CacheCounters prefixes;      // system → trimmed pre(L_ω) NFA
+  CacheCounters systems;       // text → lim(L) Büchi automaton
   CacheCounters translations;  // (formula, alphabet, polarity) → Büchi
   CacheCounters properties;    // (automaton text, alphabet) → remapped Büchi
-  CacheCounters verdicts;      // (system, property, kind, algo) → Verdict
+  CacheCounters verdicts;      // (system, P, kind, algo, certify) → Verdict
   CacheCounters monitors;      // (system, property, certify) → MonitorAutomaton
   MonitorCounters monitor;     // session table + stepping totals
   std::uint64_t queries_run = 0;
@@ -205,8 +202,6 @@ struct EngineStats {
   [[nodiscard]] CacheCounters total() const {
     CacheCounters t;
     t += systems;
-    t += behaviors;
-    t += prefixes;
     t += translations;
     t += properties;
     t += verdicts;

@@ -35,10 +35,6 @@ std::string render_stats(const EngineStats& stats) {
       << ",\"caches\":{";
   append_counters(out, "systems", stats.systems);
   out << ',';
-  append_counters(out, "behaviors", stats.behaviors);
-  out << ',';
-  append_counters(out, "prefixes", stats.prefixes);
-  out << ',';
   append_counters(out, "translations", stats.translations);
   out << ',';
   append_counters(out, "properties", stats.properties);

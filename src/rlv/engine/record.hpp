@@ -37,7 +37,7 @@ namespace rlv {
 ///    "stages":{"parse":{"calls":6,"states":0,"peak_frontier":0,"ms":0.1},
 ///              ...}}
 ///
-/// Stages that never ran are omitted; the six caches and "total" are
+/// Stages that never ran are omitted; the five caches and "total" are
 /// always present.
 [[nodiscard]] std::string render_stats(const EngineStats& stats);
 

@@ -22,6 +22,7 @@ class LtlNode {
   std::string atom;          // kAtom only
   const LtlNode* left = nullptr;
   const LtlNode* right = nullptr;
+  std::uint64_t serial = 0;  // interning order, 1-based; see operator<
 };
 
 namespace {
@@ -79,6 +80,7 @@ const LtlNode* intern(LtlOp op, std::string atom, const LtlNode* left,
     node->atom = std::move(atom);
     node->left = left;
     node->right = right;
+    node->serial = table.size() + 1;
     it = table.emplace(std::move(key), std::move(node)).first;
   }
   return it->second.get();
@@ -96,6 +98,10 @@ class LtlFactory {
 namespace {
 Formula wrap(const LtlNode* node) { return LtlFactory::make(node); }
 }  // namespace
+
+bool operator<(Formula a, Formula b) {
+  return (a.node_ ? a.node_->serial : 0) < (b.node_ ? b.node_->serial : 0);
+}
 
 LtlOp Formula::op() const { return node_->op; }
 

@@ -68,7 +68,8 @@ class Formula {
   [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(Formula a, Formula b) { return a.node_ == b.node_; }
-  friend bool operator<(Formula a, Formula b) { return a.node_ < b.node_; }
+  /// Interning order, not address: tableau numbering ignores heap layout.
+  friend bool operator<(Formula a, Formula b);
 
   [[nodiscard]] std::size_t hash() const {
     return std::hash<const LtlNode*>{}(node_);

@@ -12,7 +12,7 @@ namespace rlv {
 
 namespace {
 
-using FormulaSet = std::vector<Formula>;  // sorted by pointer order
+using FormulaSet = std::vector<Formula>;  // sorted by interning order
 
 bool contains(const FormulaSet& set, Formula f) {
   return std::binary_search(set.begin(), set.end(), f);

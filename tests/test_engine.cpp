@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -20,6 +22,9 @@
 #include "rlv/io/format.hpp"
 #include "rlv/ltl/parser.hpp"
 #include "rlv/omega/limit.hpp"
+#include "rlv/omega/live.hpp"
+#include "rlv/petri/reachability.hpp"
+#include "rlv/petri/scenario.hpp"
 #include "rlv/util/rng.hpp"
 
 namespace rlv {
@@ -91,7 +96,7 @@ TEST(Engine, ParallelBatchIdenticalToSequential64) {
   // The repeated-system workload must actually reuse cached intermediates.
   const EngineStats stats = parallel.stats();
   EXPECT_GT(stats.total().hits, 0u);
-  EXPECT_GT(stats.behaviors.hits, 0u);
+  EXPECT_GT(stats.systems.hits, 0u);
   EXPECT_EQ(stats.queries_run, 64u);
 }
 
@@ -153,10 +158,38 @@ TEST(Engine, StructurallyEqualTextsShareVerdicts) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.systems.misses, 2u);
   EXPECT_EQ(stats.verdicts.hits, 1u);
-  // The verdict-cache hit short-circuits decide(): the behaviors automaton
-  // was only ever built once, for the first query.
-  EXPECT_EQ(stats.behaviors.misses, 1u);
-  EXPECT_EQ(stats.behaviors.hits, 0u);
+  // Each text built its own lim(L) (two systems misses above), but the
+  // check itself ran once, for the first query.
+  EXPECT_EQ(stats.verdicts.misses, 1u);
+}
+
+TEST(Engine, CertifyRequestIsNeverServedAnUnvalidatedVerdict) {
+  // fig3 refutes relative liveness of G F result, so a certified request
+  // must see its doomed prefix validated even when an uncertified request
+  // for the same check was answered first.
+  Query query{serialize_system(figure3_system()), "G F result",
+              CheckKind::kRelativeLiveness};
+  Engine engine;
+  const Verdict plain = engine.run_one(query);
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  ASSERT_FALSE(plain.holds);
+  EXPECT_EQ(engine.stats().certificates_checked, 0u);
+
+  query.certify = true;
+  const Verdict certified = engine.run_one(query);
+  ASSERT_TRUE(certified.ok()) << certified.error;
+  EXPECT_FALSE(certified.holds);
+  EXPECT_EQ(certified.violating_prefix, plain.violating_prefix);
+  EXPECT_EQ(engine.stats().certificates_checked, 1u);
+
+  // Repeats of either flavor are served from their own entries.
+  (void)engine.run_one(query);
+  query.certify = false;
+  (void)engine.run_one(query);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.certificates_checked, 1u);
+  EXPECT_EQ(stats.verdicts.misses, 2u);
+  EXPECT_EQ(stats.verdicts.hits, 2u);
 }
 
 TEST(Engine, ErrorsAreFoldedIntoVerdicts) {
@@ -433,11 +466,12 @@ TEST(Engine, AutomatonFlavorRemapsPropertyAlphabetByName) {
   EXPECT_TRUE(verdict.holds);  // Σ^ω property: trivially satisfied
 }
 
-TEST(Engine, StructurallyEqualTextUsesCachedBehaviorsAlphabet) {
-  // Text B parses to its own alphabet object but shares text A's structural
-  // fingerprint, so the behaviors cache hands B the automaton built from A.
-  // Everything B's queries derive must be bound to that automaton's
-  // alphabet: the property remap, the products, the monitor.
+TEST(Engine, StructurallyEqualTextBindsEverythingToItsOwnBehaviors) {
+  // Text B shares text A's structural fingerprint but has its own systems
+  // entry, whose lim(L) carries B's alphabet object. Everything B's queries
+  // derive must be bound to that alphabet: the property remap, the
+  // products, the monitor. Verdicts are keyed by structure, so A's and B's
+  // checks share them.
   const std::string text_a = serialize_system(figure2_system());
   const std::string text_b = "# comment\n" + text_a;
   const Buchi behaviors = limit_of_prefix_closed(figure2_system());
@@ -467,6 +501,14 @@ TEST(Engine, StructurallyEqualTextUsesCachedBehaviorsAlphabet) {
     const Verdict verdict = engine.run_one(query);
     EXPECT_TRUE(verdict.ok()) << verdict.error;
   }
+  // A's rs check is served the verdict computed over B's behaviors.
+  query.system = text_a;
+  query.kind = CheckKind::kRelativeSafety;
+  const std::uint64_t hits = engine.stats().verdicts.hits;
+  const Verdict rs_a = engine.run_one(query);
+  ASSERT_TRUE(rs_a.ok()) << rs_a.error;
+  EXPECT_EQ(rs_a.holds, rs.holds);
+  EXPECT_EQ(engine.stats().verdicts.hits, hits + 1);
 
   MonitorSpec spec;
   spec.system = text_b;
@@ -476,10 +518,11 @@ TEST(Engine, StructurallyEqualTextUsesCachedBehaviorsAlphabet) {
   EXPECT_NE(opened.session, 0u);
 }
 
-TEST(Engine, PrefixEntryOutlivingItsBehaviorsStaysConsistent) {
-  // Capacity 1: the sat query on C evicts A's behaviors but not A's
-  // pre(L_ω), which only rl queries touch. B then rebuilds the behaviors
-  // from its own parse, and must not pair them with A's cached prefixes.
+TEST(Engine, SystemEntryEvictedBetweenEqualTextsStaysConsistent) {
+  // Capacity 1: each sat query on C evicts the systems entry of A or B,
+  // while the verdict cache (8 entries) keeps the verdicts computed over
+  // it. A and B then take turns rebuilding lim(L) from their own parse,
+  // and every rl verdict must match the direct call.
   const std::string text_a = serialize_system(figure2_system());
   const std::string text_b = "# comment\n" + text_a;
   const std::string text_c = serialize_system(figure3_system());
@@ -504,6 +547,84 @@ TEST(Engine, PrefixEntryOutlivingItsBehaviorsStaysConsistent) {
     ASSERT_TRUE(
         engine.run_one({text_c, "G F result", CheckKind::kSatisfaction}).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The identity the systems cache relies on: lim(L), as built by
+// limit_of_prefix_closed, is ω-trim and all-accepting, so prefix_nfa of it
+// is its own structure (the König argument of Lemma 8.1's proof), and the
+// rl check reads pre(L_ω) straight off the cached behaviors.
+
+void expect_same_nfa(const Nfa& a, const Nfa& b, const std::string& what) {
+  ASSERT_EQ(a.num_states(), b.num_states()) << what;
+  EXPECT_EQ(a.initial(), b.initial()) << what;
+  for (State s = 0; s < a.num_states(); ++s) {
+    ASSERT_EQ(a.is_accepting(s), b.is_accepting(s)) << what << " state " << s;
+    const auto ea = a.out(s);
+    const auto eb = b.out(s);
+    ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()))
+        << what << " state " << s;
+  }
+}
+
+void expect_prefix_identity(const Nfa& system, const std::string& what) {
+  const Buchi lim = limit_of_prefix_closed(system);
+  expect_same_nfa(prefix_nfa(lim), lim.structure(), what);
+}
+
+/// random_transition_system gives every state a successor; hang finite
+/// branches off it, fresh states whose edges only lead to later fresh
+/// states, so lim(L) has dead ends to trim.
+Nfa with_dead_ends(Rng& rng, Nfa system) {
+  const std::size_t extra = 1 + rng.next_below(system.num_states());
+  const std::size_t sigma = system.alphabet()->size();
+  for (std::size_t i = 0; i < extra; ++i) {
+    const State fresh = system.add_state(true);
+    const auto from = static_cast<State>(rng.next_below(fresh));
+    system.add_transition(from, static_cast<Symbol>(rng.next_below(sigma)),
+                          fresh);
+  }
+  return system;
+}
+
+TEST(LimitIdentity, PrefixNfaOfLimitIsItsStructureOnRandomSystems) {
+  Rng rng(4011);
+  for (int i = 0; i < 300; ++i) {
+    const AlphabetRef sigma = random_alphabet(2 + rng.next_below(3));
+    const Nfa system = with_dead_ends(
+        rng, random_transition_system(rng, 2 + rng.next_below(255), sigma));
+    // The dead ends make lim(L) drop states: the identity is not vacuous.
+    ASSERT_LT(limit_of_prefix_closed(system).num_states(),
+              system.num_states());
+    expect_prefix_identity(system, "random system " + std::to_string(i));
+  }
+}
+
+TEST(LimitIdentity, PrefixNfaOfLimitIsItsStructureOnScenarios) {
+  std::vector<std::pair<std::string, PetriNet>> nets = {
+      {"figure1", figure1_net()},
+      {"flight_workflow", petri::flight_workflow_net().net}};
+  for (std::size_t n = 2; n <= 5; ++n) {
+    nets.emplace_back("philosophers " + std::to_string(n),
+                      petri::philosophers_net(n).net);
+  }
+  for (std::size_t n = 1; n <= 4; ++n) {
+    nets.emplace_back("resource_server " + std::to_string(n),
+                      resource_server_net(n));
+    nets.emplace_back("bounded_buffer " + std::to_string(n),
+                      petri::bounded_buffer_net(n).net);
+  }
+  for (std::size_t n = 2; n <= 4; ++n) {
+    nets.emplace_back("ring_workflow " + std::to_string(n),
+                      petri::ring_workflow_net(n).net);
+  }
+  for (const auto& [name, net] : nets) {
+    const ReachabilityGraph graph = build_reachability_graph(net);
+    ASSERT_TRUE(graph.complete) << name;
+    expect_prefix_identity(graph.system, name);
+  }
+  expect_prefix_identity(figure2_system(), "figure2");
+  expect_prefix_identity(figure3_system(), "figure3");
 }
 
 }  // namespace

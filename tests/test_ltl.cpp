@@ -75,6 +75,23 @@ TEST(Ast, HashConsingGivesPointerEquality) {
   EXPECT_EQ(f1.raw(), f2.raw());
 }
 
+TEST(Ast, OrderIsInterningOrderNotAddress) {
+  // The tableau sorts formula sets with operator<, so its state numbering,
+  // and every witness built on it, follows this order. Interning order is a
+  // function of the formulas built so far; heap addresses are not.
+  std::vector<Formula> fresh;
+  for (int i = 0; i < 64; ++i) {
+    fresh.push_back(f_atom("order_probe_" + std::to_string(i)));
+    fresh.push_back(f_next(fresh.back()));
+  }
+  for (std::size_t i = 1; i < fresh.size(); ++i) {
+    EXPECT_TRUE(fresh[i - 1] < fresh[i]) << i;
+    EXPECT_FALSE(fresh[i] < fresh[i - 1]) << i;
+  }
+  // Re-interning returns the old node, with its old place in the order.
+  EXPECT_TRUE(f_atom("order_probe_0") < fresh.back());
+}
+
 TEST(Ast, PureBooleanDetection) {
   EXPECT_TRUE(parse_ltl("a && !b || true").is_pure_boolean());
   EXPECT_FALSE(parse_ltl("a && X b").is_pure_boolean());

@@ -217,8 +217,8 @@ TEST(NetProtocol, RenderStatsRoundTripsThroughJsonParser) {
   const JsonValue* caches = root.find("caches");
   ASSERT_NE(caches, nullptr);
   for (const char* name :
-       {"systems", "behaviors", "prefixes", "translations", "properties",
-        "verdicts", "total"}) {
+       {"systems", "translations", "properties", "verdicts", "monitors",
+        "total"}) {
     const JsonValue* cache = caches->find(name);
     ASSERT_NE(cache, nullptr) << name;
     ASSERT_NE(cache->find("hits"), nullptr) << name;

@@ -80,7 +80,6 @@
 #include "rlv/omega/complement.hpp"
 #include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
-#include "rlv/omega/live.hpp"
 #include "rlv/petri/format.hpp"
 #include "rlv/petri/reachability.hpp"
 #include "rlv/petri/scenario.hpp"
@@ -354,8 +353,9 @@ int main(int argc, char** argv) {
     };
 
     if (mode == "rl") {
+      // lim(L) is ω-trim and all-accepting: its structure is pre(L_ω).
       const auto res = decide_relative_liveness(
-          behaviors, prefix_nfa(behaviors), positive(),
+          behaviors, behaviors.structure(), positive(),
           InclusionAlgorithm::kAntichain, /*budget=*/nullptr, threads);
       std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
       if (res.violating_prefix) {

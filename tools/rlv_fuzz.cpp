@@ -39,6 +39,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rlv/cert/certificate.hpp"
@@ -84,6 +85,86 @@ void print_repro(const Repro& r, const std::string& what) {
                what.c_str());
   std::fprintf(stderr, "formula: %s\nsystem:\n%s", r.formula.c_str(),
                serialize_system(*r.system).c_str());
+}
+
+std::string disagreement(const char* check, bool kernel, bool oracle) {
+  return std::string(check) + ": kernel says " + (kernel ? "holds" : "fails") +
+         ", oracle says " + (oracle ? "holds" : "fails");
+}
+
+/// One instance's kernel verdicts, and the first cross-check they failed.
+struct KernelCheck {
+  RelativeLivenessResult rl_antichain;
+  RelativeLivenessResult rl_subset;
+  RelativeSafetyResult rs;
+  SatisfactionResult sat;
+  std::string mismatch;  // empty when every cross-check agreed
+  bool oracle_checked = false;
+  std::size_t certificates = 0;  // negative witnesses validated
+};
+
+/// The kernel cross-check of both legs: rl under antichain, subset and the
+/// parallel search, rs and sat; the brute-force oracle on systems of at most
+/// 24 states (it is exponential); the Thm 4.7 identity; and every negative
+/// verdict's witness, all five of them, revalidated.
+KernelCheck cross_check_kernels(const Nfa& system, const Buchi& behaviors,
+                                Formula formula, const Labeling& lambda,
+                                std::size_t threads) {
+  KernelCheck k;
+  k.rl_antichain = relative_liveness(behaviors, formula, lambda,
+                                     InclusionAlgorithm::kAntichain);
+  k.rl_subset = relative_liveness(behaviors, formula, lambda,
+                                  InclusionAlgorithm::kSubset);
+  const RelativeLivenessResult rl_parallel =
+      relative_liveness(behaviors, formula, lambda,
+                        InclusionAlgorithm::kAntichain,
+                        /*budget=*/nullptr, threads);
+  k.rs = relative_safety(behaviors, formula, lambda);
+  k.sat = satisfies(behaviors, formula, lambda);
+
+  if (k.rl_antichain.holds != k.rl_subset.holds) {
+    k.mismatch = "rl: antichain and subset disagree";
+    return k;
+  }
+  if (k.rl_antichain.holds != rl_parallel.holds) {
+    k.mismatch = "rl: sequential and parallel disagree";
+    return k;
+  }
+  if (system.num_states() <= 24) {
+    const bool orl = cert::oracle_relative_liveness(behaviors, formula, lambda);
+    const bool ors = cert::oracle_relative_safety(behaviors, formula, lambda);
+    const bool osat = cert::oracle_satisfies(behaviors, formula, lambda);
+    if (k.rl_antichain.holds != orl) {
+      k.mismatch = disagreement("rl", k.rl_antichain.holds, orl);
+    } else if (k.rs.holds != ors) {
+      k.mismatch = disagreement("rs", k.rs.holds, ors);
+    } else if (k.sat.holds != osat) {
+      k.mismatch = disagreement("sat", k.sat.holds, osat);
+    }
+    if (!k.mismatch.empty()) return k;
+    k.oracle_checked = true;
+  }
+  // Theorem 4.7: satisfaction ⟺ relative liveness ∧ relative safety.
+  if (k.sat.holds != (k.rl_antichain.holds && k.rs.holds)) {
+    k.mismatch = "Thm 4.7 identity violated: sat != (rl && rs)";
+    return k;
+  }
+
+  const std::pair<const char*, cert::Validation> validations[] = {
+      {"rl/antichain",
+       cert::validate(k.rl_antichain, behaviors, formula, lambda)},
+      {"rl/subset", cert::validate(k.rl_subset, behaviors, formula, lambda)},
+      {"rl/parallel", cert::validate(rl_parallel, behaviors, formula, lambda)},
+      {"rs", cert::validate(k.rs, behaviors, formula, lambda)},
+      {"sat", cert::validate(k.sat, behaviors, formula, lambda)}};
+  for (const auto& [name, v] : validations) {
+    if (v.checked) ++k.certificates;
+    if (!v.valid) {
+      k.mismatch = std::string(name) + " certificate: " + v.reason;
+      return k;
+    }
+  }
+  return k;
 }
 
 // ---------------------------------------------------------------------------
@@ -221,50 +302,12 @@ int run_petri_fuzz(std::uint64_t seed, std::size_t instances,
         return bail("format round-trip changed the unfolding");
       }
 
-      // Kernels: both inclusion algorithms, sequential and parallel.
-      const RelativeLivenessResult rl_anti = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
-      const RelativeLivenessResult rl_subset = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeLivenessResult rl_par =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
-      const RelativeSafetyResult rs =
-          relative_safety(behaviors, formula, lambda);
-      const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
-
-      if (rl_anti.holds != rl_subset.holds) {
-        return bail("rl: antichain and subset disagree");
-      }
-      if (rl_anti.holds != rl_par.holds) {
-        return bail("rl: sequential and parallel disagree");
-      }
-      if (sat.holds != (rl_anti.holds && rs.holds)) {
-        return bail("Thm 4.7 identity violated: sat != (rl && rs)");
-      }
-
-      // Brute-force oracle on small unfoldings (it is exponential).
-      if (graph.system.num_states() <= 24) {
-        const bool orl =
-            cert::oracle_relative_liveness(behaviors, formula, lambda);
-        const bool ors =
-            cert::oracle_relative_safety(behaviors, formula, lambda);
-        const bool osat = cert::oracle_satisfies(behaviors, formula, lambda);
-        if (rl_anti.holds != orl) return bail("rl: kernel vs oracle");
-        if (rs.holds != ors) return bail("rs: kernel vs oracle");
-        if (sat.holds != osat) return bail("sat: kernel vs oracle");
-        ++oracle_checked;
-      }
-
-      // Certificates on negative verdicts.
-      for (const cert::Validation& v :
-           {cert::validate(rl_anti, behaviors, formula, lambda),
-            cert::validate(rs, behaviors, formula, lambda),
-            cert::validate(sat, behaviors, formula, lambda)}) {
-        if (v.checked) ++certificates;
-        if (!v.valid) return bail("certificate: " + v.reason);
-      }
+      const KernelCheck kernels =
+          cross_check_kernels(graph.system, behaviors, formula, lambda,
+                              threads);
+      if (!kernels.mismatch.empty()) return bail(kernels.mismatch);
+      if (kernels.oracle_checked) ++oracle_checked;
+      certificates += kernels.certificates;
 
       // Preservation identities on the derived abstraction.
       if (!file.hidden.empty()) {
@@ -412,8 +455,7 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   std::size_t certificates = 0;
   std::size_t negatives = 0;
-  // Small caches, so entries are evicted and rebuilt from other texts
-  // throughout the run.
+  // Small caches, so entries are evicted and rebuilt throughout the run.
   Engine engine(EngineOptions{.jobs = 1, .cache_capacity = 8});
 
   for (std::size_t instance = 0; instance < instances; ++instance) {
@@ -434,76 +476,19 @@ int main(int argc, char** argv) {
     };
 
     try {
-      // Kernels: both inclusion algorithms, sequential and parallel.
-      const RelativeLivenessResult rl_anti = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
-      const RelativeLivenessResult rl_subset = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeLivenessResult rl_par =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
-      const RelativeSafetyResult rs =
-          relative_safety(behaviors, formula, lambda);
-      const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
-
-      // Brute-force oracle.
-      const bool orl = cert::oracle_relative_liveness(behaviors, formula,
-                                                      lambda);
-      const bool ors = cert::oracle_relative_safety(behaviors, formula,
-                                                    lambda);
-      const bool osat = cert::oracle_satisfies(behaviors, formula, lambda);
-
-      if (rl_anti.holds != rl_subset.holds) {
-        return bail("rl: antichain and subset disagree");
-      }
-      if (rl_anti.holds != rl_par.holds) {
-        return bail("rl: sequential and parallel disagree");
-      }
-      if (rl_anti.holds != orl) {
-        return bail(std::string("rl: kernel says ") +
-                    (rl_anti.holds ? "holds" : "fails") + ", oracle says " +
-                    (orl ? "holds" : "fails"));
-      }
-      if (rs.holds != ors) {
-        return bail(std::string("rs: kernel says ") +
-                    (rs.holds ? "holds" : "fails") + ", oracle says " +
-                    (ors ? "holds" : "fails"));
-      }
-      if (sat.holds != osat) {
-        return bail(std::string("sat: kernel says ") +
-                    (sat.holds ? "holds" : "fails") + ", oracle says " +
-                    (osat ? "holds" : "fails"));
-      }
-      // Theorem 4.7: satisfaction ⟺ relative liveness ∧ relative safety.
-      if (sat.holds != (rl_anti.holds && rs.holds)) {
-        return bail("Thm 4.7 identity violated: sat != (rl && rs)");
-      }
-
-      // Certificates: every negative verdict's witness must validate.
-      const RelativeLivenessResult* rls[] = {&rl_anti, &rl_subset, &rl_par};
-      const char* rl_names[] = {"rl/antichain", "rl/subset", "rl/parallel"};
-      for (std::size_t k = 0; k < 3; ++k) {
-        const cert::Validation v =
-            cert::validate(*rls[k], behaviors, formula, lambda);
-        if (v.checked) ++certificates;
-        if (!v.valid) {
-          return bail(std::string(rl_names[k]) + " certificate: " + v.reason);
-        }
-      }
-      for (const cert::Validation& v :
-           {cert::validate(rs, behaviors, formula, lambda),
-            cert::validate(sat, behaviors, formula, lambda)}) {
-        if (v.checked) ++certificates;
-        if (!v.valid) return bail("rs/sat certificate: " + v.reason);
-      }
+      const KernelCheck kernels =
+          cross_check_kernels(system, behaviors, formula, lambda, threads);
+      if (!kernels.mismatch.empty()) return bail(kernels.mismatch);
+      certificates += kernels.certificates;
+      const RelativeSafetyResult& rs = kernels.rs;
+      const SatisfactionResult& sat = kernels.sat;
       if (!sat.holds) ++negatives;
 
-      // Engine leg. The first round computes every verdict, rs from the
-      // copy while the cached behaviors come from the original text; the
-      // second round asks each check again on the other text, rl with the
-      // subset algorithm so that it is computed afresh over cached
-      // intermediates built from the first text.
+      // Engine leg. The first round computes every verdict, rs on the copy,
+      // whose systems entry holds its own parse and alphabet object; the
+      // second round asks each check again on the other text with the
+      // subset algorithm, so each is computed afresh over the other text's
+      // behaviors.
       const std::string text = serialize_system(system);
       const std::string copy = "# copy\n" + text;
       const std::string formula_text = formula.to_string();
@@ -518,7 +503,8 @@ int main(int argc, char** argv) {
         const Verdict erl = ask(CheckKind::kRelativeLiveness, second_round);
         const Verdict ers = ask(CheckKind::kRelativeSafety, !second_round);
         const Verdict esat = ask(CheckKind::kSatisfaction, second_round);
-        const RelativeLivenessResult& rl = second_round ? rl_subset : rl_anti;
+        const RelativeLivenessResult& rl =
+            second_round ? kernels.rl_subset : kernels.rl_antichain;
         if (erl.holds != rl.holds ||
             erl.violating_prefix != rl.violating_prefix) {
           return bail("rl: engine and direct call disagree");
