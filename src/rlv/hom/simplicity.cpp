@@ -1,49 +1,96 @@
 #include "rlv/hom/simplicity.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <map>
-#include <queue>
+#include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "rlv/hom/image.hpp"
 #include "rlv/lang/dfa.hpp"
 #include "rlv/lang/ops.hpp"
-#include "rlv/lang/quotient.hpp"
-#include "rlv/util/hash.hpp"
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
 namespace {
 
-/// Searches the product of two complete DFAs (A from `a_start`, B from
-/// `b_start`) for a pair of states with equal residuals, moving only along
-/// words u ∈ L(A-part) — enforced by skipping the A sink (`a_dead`).
-bool witness_exists(const Dfa& a, State a_start, State a_dead, const Dfa& b,
-                    State b_start) {
-  std::vector<std::pair<State, State>> work;
-  std::map<std::pair<State, State>, bool> seen;
-  work.emplace_back(a_start, b_start);
-  seen[{a_start, b_start}] = true;
-  while (!work.empty()) {
-    const auto [pa, pb] = work.back();
-    work.pop_back();
-    if (residual_equivalent(a, pa, b, pb)) return true;
-    for (Symbol c = 0; c < a.alphabet()->size(); ++c) {
-      const State na = a.next(pa, c);
-      if (na == a_dead) continue;  // u must stay inside cont(h(w), h(L))
-      const State nb = b.next(pb, c);
-      if (!seen.emplace(std::make_pair(na, nb), true).second) continue;
-      work.emplace_back(na, nb);
+/// The witness search of Definition 6.3 over pairs (x, y) of states of one
+/// complete DFA `d`: x tracks cont(h(w), h(L)) and its quotients, y tracks
+/// h(cont(w, L)) and its quotients. A pair is *equal* when x and y share a
+/// Nerode class, and *winning* when an equal pair is reachable from it along
+/// words that keep x out of the sink `dead` (u must stay inside
+/// cont(h(w), h(L))). Winning pairs are remembered across searches: every
+/// pair on the discovery path of a success reaches the equal pair that
+/// ended it. A failed search ends the decision, so losing pairs are not.
+class WitnessSearch {
+ public:
+  WitnessSearch(const Dfa& d, State dead, Budget* budget)
+      : d_(d), dead_(dead), budget_(budget),
+        class_of_(nerode_classes(d, budget)) {}
+
+  /// True when the pair (x, y) is winning.
+  bool winning(State x, State y) {
+    ++stamp_;
+    nodes_.clear();
+    if (visit(x, y, kNoParent)) return true;
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+      budget_tick(budget_);
+      for (Symbol c = 0; c < d_.alphabet()->size(); ++c) {
+        const State nx = d_.next(nodes_[i].x, c);
+        if (nx == dead_) continue;
+        if (visit(nx, d_.next(nodes_[i].y, c), i)) return true;
+      }
     }
+    return false;
   }
-  return false;
-}
+
+ private:
+  static constexpr std::uint32_t kNoParent = 0xffffffffU;
+  static constexpr std::uint32_t kWinning = 0xffffffffU;
+
+  struct Node {
+    State x;
+    State y;
+    std::uint32_t parent;
+  };
+
+  [[nodiscard]] std::uint64_t key(State x, State y) const {
+    return static_cast<std::uint64_t>(x) * d_.num_states() + y;
+  }
+
+  /// Discovers (x, y) from node `parent`. Returns true — after marking the
+  /// discovery path winning — when the pair is equal or already known to
+  /// be winning; otherwise queues it unless this search has seen it.
+  bool visit(State x, State y, std::uint32_t parent) {
+    std::uint32_t& mark = mark_[key(x, y)];
+    if (mark == kWinning || class_of_[x] == class_of_[y]) {
+      mark = kWinning;
+      for (std::uint32_t i = parent; i != kNoParent; i = nodes_[i].parent) {
+        mark_[key(nodes_[i].x, nodes_[i].y)] = kWinning;
+      }
+      return true;
+    }
+    if (mark == stamp_) return false;
+    mark = stamp_;
+    nodes_.push_back({x, y, parent});
+    return false;
+  }
+
+  const Dfa& d_;
+  State dead_;
+  Budget* budget_;
+  std::vector<std::uint32_t> class_of_;
+  // Per pair: kWinning, or the stamp of the last search that queued it.
+  std::unordered_map<std::uint64_t, std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  std::vector<Node> nodes_;  // the current search's queue, breadth-first
+};
 
 }  // namespace
 
-SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h) {
+SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h,
+                                  Budget* budget) {
   assert(nfa.alphabet() == h.source());
 
   // DFA for L; its states index the cont classes cont(w, L).
@@ -53,59 +100,62 @@ SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h) {
     result.simple = true;  // empty language: vacuously simple
     return result;
   }
-  const Dfa dl = minimize(determinize(trimmed));
+  const Dfa dl = minimize(determinize(trimmed, budget), budget);
 
-  // Determinized image automaton; its states index cont(h(w), h(L)).
-  const Dfa dh = determinize(image_nfa(trimmed, h));
-  const Dfa dh_complete = dh.complete();
-  const State dh_dead =
-      dh_complete.num_states() > dh.num_states()
-          ? static_cast<State>(dh_complete.num_states() - 1)
-          : kNoState;
-
-  // For each L-state q: the completed DFA of h(cont(w, L)) = h(residual(q)).
-  std::vector<Dfa> image_residual;
-  std::vector<State> image_residual_init;
-  image_residual.reserve(dl.num_states());
+  // One image automaton in two disjoint parts: h(L), read off the trimmed
+  // system, and the image of DL with every state initial — which keeps DL's
+  // state ids, since trim drops nothing (each state is initial, and
+  // productive as in DL). One subset construction from the root of h(L) and
+  // the singletons {q} then gives D: state 0 indexes cont(h(ε), h(L)), the
+  // states reached from it index every cont(h(w), h(L)), and state 1 + q
+  // accepts h(cont(w, L)) for the words w that reach q.
+  const Nfa abstract = image_nfa(trimmed, h);
+  Nfa all_initial = dl.to_nfa();
   for (State q = 0; q < dl.num_states(); ++q) {
-    Nfa res = dl.to_nfa();
-    // Residual automaton: same structure, initial state q.
-    Nfa shifted(res.alphabet());
-    for (State s = 0; s < res.num_states(); ++s) {
-      shifted.add_state(res.is_accepting(s));
-    }
-    for (State s = 0; s < res.num_states(); ++s) {
-      for (const auto& t : res.out(s)) {
-        shifted.add_transition(s, t.symbol, t.target);
-      }
-    }
-    shifted.set_initial(q);
-    const Dfa db = determinize(image_nfa(shifted, h)).complete();
-    image_residual.push_back(db);
-    image_residual_init.push_back(db.initial());
+    if (q != dl.initial()) all_initial.set_initial(q);
   }
+  const Nfa residuals = image_nfa(all_initial, h);
+  assert(residuals.num_states() == dl.num_states());
+  std::vector<std::vector<State>> roots{abstract.initial()};
+  const auto offset = static_cast<State>(abstract.num_states());
+  for (State q = 0; q < dl.num_states(); ++q) roots.push_back({offset + q});
+  const Dfa partial =
+      determinize_from(union_nfa(abstract, residuals), roots, budget);
+  const Dfa d = partial.complete();
+  const State dead = d.num_states() > partial.num_states()
+                         ? static_cast<State>(d.num_states() - 1)
+                         : kNoState;
+  WitnessSearch search(d, dead, budget);
 
-  // Coupled reachability over (q, S) pairs, tracking a witness word for
-  // failure reporting.
+  // Breadth-first over the reachable (q, S) pairs; a pair's word is
+  // rebuilt from the parent links when it has no witness.
   struct Item {
     State q;
     State s;
-    Word word;
+    std::uint32_t parent;
+    Symbol symbol;
   };
-  std::map<std::pair<State, State>, bool> seen;
-  std::queue<Item> queue;
-  queue.push({dl.initial(), dh.initial(), {}});
-  seen[{dl.initial(), dh.initial()}] = true;
+  std::vector<Item> items;
+  U64KeySet seen;
+  auto discover = [&](State q, State s, std::uint32_t parent, Symbol a) {
+    if (!seen.insert(static_cast<std::uint64_t>(q) * d.num_states() + s)) {
+      return;
+    }
+    budget_charge(budget);
+    items.push_back({q, s, parent, a});
+  };
+  discover(dl.initial(), d.initial(), 0, 0);
 
-  while (!queue.empty()) {
-    Item item = std::move(queue.front());
-    queue.pop();
+  for (std::uint32_t i = 0; i < items.size(); ++i) {
     ++result.pairs_checked;
-
-    if (!witness_exists(dh_complete, item.s, dh_dead,
-                        image_residual[item.q], image_residual_init[item.q])) {
+    const Item item = items[i];
+    if (!search.winning(item.s, 1 + item.q)) {
+      Word w;
+      for (std::uint32_t j = i; j != 0; j = items[j].parent) {
+        w.push_back(items[j].symbol);
+      }
+      result.violating_word = Word(w.rbegin(), w.rend());
       result.simple = false;
-      result.violating_word = std::move(item.word);
       return result;
     }
 
@@ -114,13 +164,10 @@ SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h) {
       if (nq == kNoState) continue;  // wa ∉ L
       State ns = item.s;
       if (const auto mapped = h.apply(a)) {
-        ns = dh.next(item.s, *mapped);
-        assert(ns != kNoState && "image automaton must simulate h(L)");
+        ns = d.next(item.s, *mapped);
+        assert(ns != dead && "image automaton must simulate h(L)");
       }
-      if (!seen.emplace(std::make_pair(nq, ns), true).second) continue;
-      Word w = item.word;
-      w.push_back(a);
-      queue.push({nq, ns, std::move(w)});
+      discover(nq, ns, i, a);
     }
   }
   result.simple = true;

@@ -11,16 +11,27 @@
 // the condition under which relative liveness transfers from the abstract
 // to the concrete system (Theorem 8.2).
 //
-// Decidability: cont(w, L) depends on w only through the state of a DFA for
-// L, and cont(h(w), h(L)) only through the subset-state of the determinized
-// image automaton. We explore all reachable (state, subset-state) pairs;
-// for each, we search the product of the two residual DFAs for a state pair
-// with equal residual languages (Hopcroft–Karp).
+// Decidability: cont(w, L) depends on w only through the state q of the
+// minimal DFA DL for L, and cont(h(w), h(L)) only through the state S of the
+// determinized image automaton. The decision explores the reachable (q, S)
+// pairs breadth-first (their number is `pairs_checked`) and, for each,
+// searches the product of the automaton from S and the automaton of
+// h(cont(w, L)) for a pair of states with equal residual languages. Each
+// piece is built once per call:
+//
+//   * one subset construction yields both sides: it starts from the image
+//     of L and from the singletons {q} of the image of DL, so subsets
+//     common to several residuals are built once;
+//   * residual equality is one comparison of Myhill–Nerode classes,
+//     computed once (Hopcroft) over that DFA;
+//   * product pairs found to reach an equal pair stay marked winning, so a
+//     later search stops as soon as it meets one.
 
 #include <optional>
 
 #include "rlv/hom/homomorphism.hpp"
 #include "rlv/lang/nfa.hpp"
+#include "rlv/util/budget.hpp"
 
 namespace rlv {
 
@@ -34,8 +45,11 @@ struct SimplicityResult {
 
 /// Decides whether `h` is simple for L(nfa). L must be prefix-closed (use
 /// prefix_language / reachability graphs); `h.source()` must be the
-/// automaton's alphabet.
+/// automaton's alphabet. `budget` is charged one state per (q, S) pair and
+/// per subset built, under the caller's current stage; its deadline is also
+/// consulted inside the witness searches.
 [[nodiscard]] SimplicityResult check_simplicity(const Nfa& nfa,
-                                                const Homomorphism& h);
+                                                const Homomorphism& h,
+                                                Budget* budget = nullptr);
 
 }  // namespace rlv

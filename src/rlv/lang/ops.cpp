@@ -16,20 +16,23 @@
 namespace rlv {
 
 Dfa determinize(const Nfa& nfa, Budget* budget) {
-  Dfa dfa(nfa.alphabet());
-  const std::size_t n = nfa.num_states();
-  const std::size_t sigma = nfa.alphabet()->size();
-  nfa.finalize();
-
-  DynBitset init(n);
-  for (const State s : nfa.initial()) init.set(s);
-  if (init.none()) {
+  if (nfa.initial().empty()) {
     // Empty language: single non-accepting state with no transitions keeps
     // downstream algorithms total.
+    Dfa dfa(nfa.alphabet());
     const State s = dfa.add_state(false);
     dfa.set_initial(s);
     return dfa;
   }
+  return determinize_from(nfa, {&nfa.initial(), 1}, budget);
+}
+
+Dfa determinize_from(const Nfa& nfa, std::span<const std::vector<State>> roots,
+                     Budget* budget) {
+  Dfa dfa(nfa.alphabet());
+  const std::size_t n = nfa.num_states();
+  const std::size_t sigma = nfa.alphabet()->size();
+  nfa.finalize();
 
   // Subset states live interned in one contiguous word array; DFA state ids
   // are the dense intern ids (first-seen order, so the numbering matches the
@@ -58,9 +61,13 @@ Dfa determinize(const Nfa& nfa, Budget* budget) {
     return id;
   };
 
-  std::copy(init.words_data(), init.words_data() + words_per, nxt.begin());
-  const State start = intern(nxt.data());
-  dfa.set_initial(start);
+  for (const std::vector<State>& root : roots) {
+    assert(!root.empty());
+    std::fill(nxt.begin(), nxt.end(), 0);
+    for (const State s : root) nxt[s / 64] |= std::uint64_t{1} << (s % 64);
+    const State d = intern(nxt.data());
+    if (dfa.initial() == kNoState) dfa.set_initial(d);
+  }
 
   for (State d = 0; d < interner.size(); ++d) {
     // The interner grows while we iterate (and its word pointers move), so
@@ -113,8 +120,8 @@ Dfa trim_dfa(const Dfa& dfa) {
 
 }  // namespace
 
-Dfa minimize(const Dfa& input, Budget* budget) {
-  const Dfa dfa = input.complete();
+std::vector<std::uint32_t> nerode_classes(const Dfa& dfa, Budget* budget) {
+  assert(dfa.is_complete());
   const std::size_t n = dfa.num_states();
   const std::size_t sigma = dfa.alphabet()->size();
 
@@ -198,16 +205,30 @@ Dfa minimize(const Dfa& input, Budget* budget) {
       for (Symbol c = 0; c < sigma; ++c) work.emplace_back(nb, c);
     }
   }
+  return block_of;
+}
 
-  // Build the quotient automaton.
-  Dfa quotient(dfa.alphabet());
-  for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-    quotient.add_state(dfa.is_accepting(blocks[b].front()));
+Dfa minimize(const Dfa& input, Budget* budget) {
+  const Dfa dfa = input.complete();
+  const std::vector<std::uint32_t> block_of = nerode_classes(dfa, budget);
+
+  // Build the quotient automaton; any member of a block represents it.
+  const std::size_t sigma = dfa.alphabet()->size();
+  std::uint32_t num_blocks = 0;
+  for (const std::uint32_t b : block_of) {
+    num_blocks = std::max(num_blocks, b + 1);
   }
-  for (std::uint32_t b = 0; b < blocks.size(); ++b) {
-    const State rep = blocks[b].front();
+  std::vector<State> rep(num_blocks, kNoState);
+  for (State s = 0; s < dfa.num_states(); ++s) {
+    if (rep[block_of[s]] == kNoState) rep[block_of[s]] = s;
+  }
+  Dfa quotient(dfa.alphabet());
+  for (std::uint32_t b = 0; b < num_blocks; ++b) {
+    quotient.add_state(dfa.is_accepting(rep[b]));
+  }
+  for (std::uint32_t b = 0; b < num_blocks; ++b) {
     for (Symbol a = 0; a < sigma; ++a) {
-      quotient.set_transition(b, a, block_of[dfa.next(rep, a)]);
+      quotient.set_transition(b, a, block_of[dfa.next(rep[b], a)]);
     }
   }
   quotient.set_initial(block_of[dfa.initial()]);
@@ -464,16 +485,6 @@ bool dfa_equivalent(const Dfa& a, const Dfa& b) {
   const Dfa ca = a.complete();
   const Dfa cb = b.complete();
   return hk_equivalent(ca, ca.initial(), cb, cb.initial());
-}
-
-bool residual_equivalent(const Dfa& a, State p, const Dfa& b, State q) {
-  const Dfa ca = a.complete();
-  const Dfa cb = b.complete();
-  // complete() appends the sink, so original state ids are stable; kNoState
-  // inputs denote the sink itself.
-  const State pp = (p == kNoState) ? static_cast<State>(ca.num_states() - 1) : p;
-  const State qq = (q == kNoState) ? static_cast<State>(cb.num_states() - 1) : q;
-  return hk_equivalent(ca, pp, cb, qq);
 }
 
 bool is_prefix_closed(const Nfa& nfa) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rlv/lang/dfa.hpp"
@@ -20,6 +21,23 @@ namespace rlv {
 /// worst case; each subset-state built is charged to `budget` (under the
 /// caller's current stage).
 [[nodiscard]] Dfa determinize(const Nfa& nfa, Budget* budget = nullptr);
+
+/// Subset construction started from several subsets at once, sharing
+/// every subset the roots reach in common. Each root is a non-empty set of
+/// NFA states; with distinct roots, root i becomes DFA state i. The first
+/// root is the initial state. Charges `budget` like determinize(), which is
+/// this construction from the single root `nfa.initial()`.
+[[nodiscard]] Dfa determinize_from(const Nfa& nfa,
+                                   std::span<const std::vector<State>> roots,
+                                   Budget* budget = nullptr);
+
+/// Myhill–Nerode classes of a complete DFA's states, by Hopcroft's
+/// partition refinement: class_of[s] == class_of[t] iff the languages read
+/// from s and from t coincide. The initial state plays no part, so every
+/// state is classified, reachable or not. minimize() quotients by these
+/// classes. `budget` bounds wall time as in minimize().
+[[nodiscard]] std::vector<std::uint32_t> nerode_classes(
+    const Dfa& dfa, Budget* budget = nullptr);
 
 /// Hopcroft minimization. Accepts a partial DFA; the result is again partial
 /// (the rejecting sink, if any, is removed) and is the unique minimal DFA of
@@ -61,11 +79,6 @@ namespace rlv {
 
 /// True when L(a) = L(b), via Hopcroft–Karp on the two (completed) DFAs.
 [[nodiscard]] bool dfa_equivalent(const Dfa& a, const Dfa& b);
-
-/// True when the residual languages of states `p` and `q` inside the two
-/// (complete) DFAs coincide. `a` and `b` may be the same automaton.
-[[nodiscard]] bool residual_equivalent(const Dfa& a, State p, const Dfa& b,
-                                       State q);
 
 /// True when L(nfa) is prefix-closed.
 [[nodiscard]] bool is_prefix_closed(const Nfa& nfa);

@@ -20,12 +20,6 @@ Nfa left_quotient(const Nfa& nfa, const Word& w) {
   return result;
 }
 
-Dfa residual(const Dfa& dfa, State s) {
-  Dfa result = dfa;
-  result.set_initial(s);
-  return result;
-}
-
 std::size_t myhill_nerode_index(const Dfa& dfa) {
   return minimize(dfa).complete().num_states();
 }

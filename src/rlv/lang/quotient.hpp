@@ -1,8 +1,8 @@
 #pragma once
 
 // Left quotients — the paper's cont(w, L) (Definition 3.1): the set of
-// continuations of a word within a language. Also residual enumeration on a
-// DFA, used by the simplicity decision procedure (Definition 6.3).
+// continuations of a word within a language — and the Myhill–Nerode index,
+// the number of distinct residual languages.
 
 #include <vector>
 
@@ -15,10 +15,6 @@ namespace rlv {
 /// and make the reached states initial. Returns an automaton with empty
 /// language when no run survives `w`.
 [[nodiscard]] Nfa left_quotient(const Nfa& nfa, const Word& w);
-
-/// Automaton for the residual language of DFA state `s` (the language read
-/// from `s`); same structure with `s` as initial state.
-[[nodiscard]] Dfa residual(const Dfa& dfa, State s);
 
 /// Number of distinct residual languages of the language of `dfa`
 /// (= number of states of the minimal complete DFA, counting a sink if the

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <queue>
 #include <set>
+#include <string>
 
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
@@ -17,6 +20,9 @@
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/lang/quotient.hpp"
+#include "rlv/petri/reachability.hpp"
+#include "rlv/petri/scenario.hpp"
+#include "rlv/util/budget.hpp"
 #include "rlv/util/rng.hpp"
 
 namespace rlv {
@@ -197,6 +203,189 @@ TEST(Simplicity, ViolationDetectedOnTrapSystem) {
   const Homomorphism h2 = Homomorphism::projection(sigma2, {"a", "c"});
   const SimplicityResult r = check_simplicity(trap, h2);
   EXPECT_FALSE(r.simple);
+}
+
+// ---------------------------------------------------------------------------
+// Reference oracle for the simplicity decision: the straightforward
+// construction (one image DFA per L-state, a Hopcroft–Karp equivalence test
+// per probed product pair). Test-only; check_simplicity must agree with it
+// on `simple`, `violating_word` and `pairs_checked`.
+
+bool reference_residual_equivalent(const Dfa& a, State p, const Dfa& b,
+                                   State q) {
+  Dfa ra = a;
+  ra.set_initial(p);
+  Dfa rb = b;
+  rb.set_initial(q);
+  return dfa_equivalent(ra, rb);
+}
+
+bool reference_witness_exists(const Dfa& a, State a_start, State a_dead,
+                              const Dfa& b, State b_start) {
+  std::vector<std::pair<State, State>> work;
+  std::set<std::pair<State, State>> seen;
+  work.emplace_back(a_start, b_start);
+  seen.insert({a_start, b_start});
+  while (!work.empty()) {
+    const auto [pa, pb] = work.back();
+    work.pop_back();
+    if (reference_residual_equivalent(a, pa, b, pb)) return true;
+    for (Symbol c = 0; c < a.alphabet()->size(); ++c) {
+      const State na = a.next(pa, c);
+      if (na == a_dead) continue;
+      const State nb = b.next(pb, c);
+      if (seen.insert({na, nb}).second) work.emplace_back(na, nb);
+    }
+  }
+  return false;
+}
+
+SimplicityResult reference_simplicity(const Nfa& nfa, const Homomorphism& h) {
+  const Nfa trimmed = trim(nfa);
+  SimplicityResult result;
+  if (trimmed.num_states() == 0) {
+    result.simple = true;
+    return result;
+  }
+  const Dfa dl = minimize(determinize(trimmed));
+  const Dfa dh = determinize(image_nfa(trimmed, h));
+  const Dfa dh_complete = dh.complete();
+  const State dh_dead = dh_complete.num_states() > dh.num_states()
+                            ? static_cast<State>(dh_complete.num_states() - 1)
+                            : kNoState;
+  std::vector<Dfa> image_residual;
+  for (State q = 0; q < dl.num_states(); ++q) {
+    Nfa shifted = dl.to_nfa();
+    Nfa rooted(shifted.alphabet());
+    for (State s = 0; s < shifted.num_states(); ++s) {
+      rooted.add_state(shifted.is_accepting(s));
+    }
+    for (State s = 0; s < shifted.num_states(); ++s) {
+      for (const auto& t : shifted.out(s)) {
+        rooted.add_transition(s, t.symbol, t.target);
+      }
+    }
+    rooted.set_initial(q);
+    image_residual.push_back(determinize(image_nfa(rooted, h)).complete());
+  }
+
+  struct Item {
+    State q;
+    State s;
+    Word word;
+  };
+  std::set<std::pair<State, State>> seen;
+  std::queue<Item> queue;
+  queue.push({dl.initial(), dh.initial(), {}});
+  seen.insert({dl.initial(), dh.initial()});
+  while (!queue.empty()) {
+    Item item = std::move(queue.front());
+    queue.pop();
+    ++result.pairs_checked;
+    const Dfa& residual = image_residual[item.q];
+    if (!reference_witness_exists(dh_complete, item.s, dh_dead, residual,
+                                  residual.initial())) {
+      result.violating_word = std::move(item.word);
+      return result;
+    }
+    for (Symbol a = 0; a < nfa.alphabet()->size(); ++a) {
+      const State nq = dl.next(item.q, a);
+      if (nq == kNoState) continue;
+      State ns = item.s;
+      if (const auto mapped = h.apply(a)) ns = dh.next(item.s, *mapped);
+      if (!seen.insert({nq, ns}).second) continue;
+      Word w = item.word;
+      w.push_back(a);
+      queue.push({nq, ns, std::move(w)});
+    }
+  }
+  result.simple = true;
+  return result;
+}
+
+void expect_same_simplicity(const SimplicityResult& got,
+                            const SimplicityResult& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.simple, want.simple) << what;
+  EXPECT_EQ(got.violating_word, want.violating_word) << what;
+  EXPECT_EQ(got.pairs_checked, want.pairs_checked) << what;
+}
+
+TEST(Simplicity, MatchesReferenceOnRandomSystems) {
+  // Half the systems have no dead ends (random_transition_system), half are
+  // prefix languages of random automata and may have maximal words.
+  std::size_t simple = 0;
+  std::size_t not_simple = 0;
+  for (std::uint64_t seed = 0; seed < 360; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    auto sigma = random_alphabet(2 + rng.next_below(3));
+    // Prefix languages of random NFAs determinize with a large blow-up, which
+    // the reference pays once per L-state; keep those smaller.
+    const Nfa system =
+        seed % 2 == 0
+            ? random_transition_system(rng, 1 + rng.next_below(20), sigma)
+            : prefix_language(random_nfa(rng, 1 + rng.next_below(8), sigma));
+    const Homomorphism h =
+        random_homomorphism(rng, sigma, 1 + rng.next_below(3), 50);
+    const SimplicityResult want = reference_simplicity(system, h);
+    expect_same_simplicity(check_simplicity(system, h), want,
+                           "seed " + std::to_string(seed));
+    (want.simple ? simple : not_simple) += 1;
+  }
+  // Both verdicts must be exercised for the comparison to mean anything
+  // (non-simple systems are the rarer kind: 19 of these 360).
+  EXPECT_GE(simple, 300u);
+  EXPECT_GE(not_simple, 15u);
+}
+
+/// philosophers(n) under its `hide` abstraction, #-extended as rlv_check
+/// --net-hom does: the unfolding deadlocks.
+std::pair<Nfa, Homomorphism> extended_philosophers(std::size_t n) {
+  const petri::NetFile file = petri::philosophers_net(n);
+  Nfa system = extend_maximal_words(build_reachability_graph(file.net).system);
+  Homomorphism h = petri::derive_abstraction(system.alphabet(), file.hidden);
+  return {std::move(system), std::move(h)};
+}
+
+TEST(Simplicity, PinnedScalableSystems) {
+  const ReachabilityGraph server =
+      build_reachability_graph(resource_server_net(4));
+  const Homomorphism hs = resource_server_abstraction(server.system.alphabet());
+  const SimplicityResult rs = check_simplicity(server.system, hs);
+  EXPECT_TRUE(rs.simple);
+  EXPECT_EQ(rs.pairs_checked, 640u);
+
+  const auto [phil, hp] = extended_philosophers(4);
+  const SimplicityResult rp = check_simplicity(phil, hp);
+  EXPECT_TRUE(rp.simple);
+  EXPECT_EQ(rp.pairs_checked, 990u);
+}
+
+TEST(Simplicity, BudgetCapTrips) {
+  const ReachabilityGraph server =
+      build_reachability_graph(resource_server_net(2));
+  const Homomorphism h = resource_server_abstraction(server.system.alphabet());
+  Budget budget;
+  budget.set_max_states(1);
+  EXPECT_THROW((void)check_simplicity(server.system, h, &budget),
+               ResourceExhausted);
+}
+
+TEST(Simplicity, GenerousBudgetKeepsTheResult) {
+  const Nfa fig3 = figure3_system();
+  const Homomorphism h3 = paper_abstraction(fig3.alphabet());
+  const auto [phil, hp] = extended_philosophers(3);
+  for (const auto& [system, h] :
+       {std::pair{&fig3, &h3}, std::pair{&phil, &hp}}) {
+    Budget budget;
+    budget.set_max_states(1u << 24);
+    budget.set_deadline_in(std::chrono::minutes(10));
+    const SimplicityResult budgeted = check_simplicity(*system, *h, &budget);
+    expect_same_simplicity(budgeted, check_simplicity(*system, *h),
+                           "budgeted");
+    // One state per (q, S) pair, plus the subsets built.
+    EXPECT_GT(budget.states_used(), budgeted.pairs_checked);
+  }
 }
 
 // ---------------------------------------------------------------------------
