@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/preservation.hpp"
 #include "rlv/core/relative.hpp"
 #include "rlv/gen/families.hpp"
@@ -41,7 +43,7 @@ void BM_Abstraction_DirectConcrete(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = concrete_relative_liveness(setup.system, setup.h, setup.eta);
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(setup.system.num_states());
   state.counters["holds"] = holds ? 1 : 0;
@@ -55,7 +57,7 @@ void BM_Abstraction_AbstractOnly(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = abstract_relative_liveness(setup.system, setup.h, setup.eta);
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(setup.system.num_states());
   state.counters["holds"] = holds ? 1 : 0;
@@ -76,7 +78,7 @@ void BM_Abstraction_PerPropertyAmortized(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = relative_liveness(abstract_behaviors, setup.eta, lambda).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(setup.system.num_states());
   state.counters["abstract_states"] =
@@ -96,7 +98,7 @@ void BM_Abstraction_FullPipeline(benchmark::State& state) {
         verify_via_abstraction(setup.system, setup.h, setup.eta);
     concluded = verdict.concrete_holds.has_value();
     abstract_states = verdict.abstract_states;
-    benchmark::DoNotOptimize(concluded);
+    benchmark::DoNotOptimize(std::as_const(concluded));
   }
   state.counters["states"] = static_cast<double>(setup.system.num_states());
   state.counters["abstract_states"] = static_cast<double>(abstract_states);

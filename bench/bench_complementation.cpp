@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/gen/random.hpp"
 #include "rlv/ltl/parser.hpp"
 #include "rlv/ltl/translate.hpp"
@@ -30,7 +32,7 @@ void BM_Complement_RandomBuchi(benchmark::State& state) {
       const Buchi comp = complement_buchi(a);
       total_states += comp.num_states();
     }
-    benchmark::DoNotOptimize(total_states);
+    benchmark::DoNotOptimize(std::as_const(total_states));
   }
   state.counters["avg_comp_states"] =
       static_cast<double>(total_states) / static_cast<double>(inputs.size());
@@ -49,7 +51,7 @@ void BM_Complement_FormulaRouteInstead(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi neg = translate_ltl_negated(f, lambda);
     states = neg.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }
@@ -63,7 +65,7 @@ void BM_Complement_RankRouteOnGFa(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi comp = complement_buchi(pos);
     states = comp.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }

@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/comp/abstraction.hpp"
 #include "rlv/comp/sync.hpp"
 #include "rlv/gen/families.hpp"
@@ -27,7 +29,7 @@ void BM_Compositional_Sequential(benchmark::State& state) {
     product_states = product.num_states();
     const Nfa abstract = reduced_image_nfa(product, h);
     abstract_states = abstract.num_states();
-    benchmark::DoNotOptimize(abstract_states);
+    benchmark::DoNotOptimize(std::as_const(abstract_states));
   }
   state.counters["product_states"] = static_cast<double>(product_states);
   state.counters["abstract_states"] = static_cast<double>(abstract_states);
@@ -47,7 +49,7 @@ void BM_Compositional_OnTheFly(benchmark::State& state) {
     const OnTheFlyResult result = on_the_fly_abstraction(components, h);
     abstract_states = result.abstract.num_states();
     touched = result.configurations_touched;
-    benchmark::DoNotOptimize(abstract_states);
+    benchmark::DoNotOptimize(std::as_const(abstract_states));
   }
   state.counters["configs_touched"] = static_cast<double>(touched);
   state.counters["abstract_states"] = static_cast<double>(abstract_states);

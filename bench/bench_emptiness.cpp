@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/ltl/parser.hpp"
@@ -29,7 +31,7 @@ void BM_Emptiness_RandomBuchi(benchmark::State& state) {
   bool empty = false;
   for (auto _ : state) {
     empty = buchi_empty(a, algorithm);
-    benchmark::DoNotOptimize(empty);
+    benchmark::DoNotOptimize(std::as_const(empty));
   }
   state.counters["empty"] = empty ? 1 : 0;
 }
@@ -53,7 +55,7 @@ void BM_Emptiness_ServerProduct(benchmark::State& state) {
   bool empty = false;
   for (auto _ : state) {
     empty = buchi_empty(bad, algorithm);
-    benchmark::DoNotOptimize(empty);
+    benchmark::DoNotOptimize(std::as_const(empty));
   }
   state.counters["product_states"] = static_cast<double>(bad.num_states());
   state.counters["empty"] = empty ? 1 : 0;

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/fair_synthesis.hpp"
 #include "rlv/fair/fair_check.hpp"
 #include "rlv/gen/families.hpp"
@@ -29,7 +31,7 @@ void BM_Synthesis_Construct(benchmark::State& state) {
     const FairImplementation impl =
         synthesize_fair_implementation(system, f, lambda);
     impl_states = impl.system.num_states();
-    benchmark::DoNotOptimize(impl_states);
+    benchmark::DoNotOptimize(std::as_const(impl_states));
   }
   state.counters["system_states"] =
       static_cast<double>(graph.system.num_states());
@@ -50,7 +52,7 @@ void BM_Synthesis_ValidateLanguage(benchmark::State& state) {
   bool equal = false;
   for (auto _ : state) {
     equal = same_limit_closed_language(system, impl.system);
-    benchmark::DoNotOptimize(equal);
+    benchmark::DoNotOptimize(std::as_const(equal));
   }
   state.counters["equal"] = equal ? 1 : 0;
 }
@@ -72,7 +74,7 @@ void BM_Synthesis_ValidateFairness(benchmark::State& state) {
   bool ok = false;
   for (auto _ : state) {
     ok = check_fair_satisfaction(impl.system, f, lambda).all_fair_runs_satisfy;
-    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(std::as_const(ok));
   }
   state.counters["impl_states"] =
       static_cast<double>(impl.system.num_states());
@@ -93,7 +95,7 @@ void BM_Synthesis_TokenRing(benchmark::State& state) {
     const FairImplementation impl =
         synthesize_fair_implementation(system, f, lambda);
     impl_states = impl.system.num_states();
-    benchmark::DoNotOptimize(impl_states);
+    benchmark::DoNotOptimize(std::as_const(impl_states));
   }
   state.counters["impl_states"] = static_cast<double>(impl_states);
 }

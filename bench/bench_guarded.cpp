@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/relative.hpp"
 #include "rlv/fair/fair_check.hpp"
 #include "rlv/gen/families.hpp"
@@ -20,7 +22,7 @@ void BM_Guarded_PetersonUnfold(benchmark::State& state) {
   for (auto _ : state) {
     const Nfa system = peterson_system();
     states = system.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["states"] = static_cast<double>(states);
 }
@@ -32,7 +34,7 @@ void BM_Guarded_LeaderElectionUnfold(benchmark::State& state) {
   for (auto _ : state) {
     const Nfa system = leader_election_system(n);
     states = system.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["states"] = static_cast<double>(states);
 }
@@ -50,7 +52,7 @@ void BM_Guarded_PetersonStarvationFreedom(benchmark::State& state) {
   for (auto _ : state) {
     rl = relative_liveness(behaviors, f, lambda).holds;
     fair = check_fair_satisfaction(behaviors, f, lambda).all_fair_runs_satisfy;
-    benchmark::DoNotOptimize(fair);
+    benchmark::DoNotOptimize(std::as_const(fair));
   }
   state.counters["rl"] = rl ? 1 : 0;
   state.counters["fair"] = fair ? 1 : 0;
@@ -67,7 +69,7 @@ void BM_Guarded_LeaderElectionLiveness(benchmark::State& state) {
   bool rl = false;
   for (auto _ : state) {
     rl = relative_liveness(behaviors, f, lambda).holds;
-    benchmark::DoNotOptimize(rl);
+    benchmark::DoNotOptimize(std::as_const(rl));
   }
   state.counters["states"] = static_cast<double>(system.num_states());
   state.counters["rl"] = rl ? 1 : 0;

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/gen/random.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/util/budget.hpp"
@@ -44,7 +46,7 @@ void BM_Inclusion_ExponentialFamily(benchmark::State& state) {
   bool included = false;
   for (auto _ : state) {
     included = is_included(a, b, algorithm);
-    benchmark::DoNotOptimize(included);
+    benchmark::DoNotOptimize(std::as_const(included));
   }
   state.counters["included"] = included ? 1 : 0;
 }
@@ -74,7 +76,7 @@ void BM_Inclusion_RandomPairs(benchmark::State& state) {
       yes += is_included(a, b, algorithm) ? 1 : 0;
     }
   }
-  benchmark::DoNotOptimize(yes);
+  benchmark::DoNotOptimize(std::as_const(yes));
 }
 BENCHMARK(BM_Inclusion_RandomPairs)
     ->ArgsProduct({{8, 16, 32}, {0, 1}})
@@ -157,7 +159,7 @@ void BM_InclusionParallel(benchmark::State& state) {
   for (auto _ : state) {
     included = is_included(a, b, InclusionAlgorithm::kAntichain, nullptr,
                            threads);
-    benchmark::DoNotOptimize(included);
+    benchmark::DoNotOptimize(std::as_const(included));
   }
   state.counters["included"] = included ? 1 : 0;
 }

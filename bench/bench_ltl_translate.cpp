@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 
 #include "rlv/gen/random.hpp"
 #include "rlv/ltl/parser.hpp"
@@ -35,7 +36,7 @@ void BM_Translate_NestedGF(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi automaton = translate_ltl(f, lambda);
     states = automaton.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }
@@ -56,7 +57,7 @@ void BM_Translate_UntilChain(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi automaton = translate_ltl(f, lambda);
     states = automaton.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }
@@ -73,7 +74,7 @@ void BM_Translate_NextTower(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi automaton = translate_ltl(f, lambda);
     states = automaton.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }
@@ -98,7 +99,7 @@ void BM_Translate_TransformedRbar(benchmark::State& state) {
   for (auto _ : state) {
     const Buchi automaton = translate_ltl(f, lambda);
     states = automaton.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["aut_states"] = static_cast<double>(states);
 }

@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/gen/families.hpp"
 #include "rlv/petri/format.hpp"
 #include "rlv/petri/reachability.hpp"
@@ -24,7 +26,7 @@ void BM_Petri_ResourceServer(benchmark::State& state) {
   for (auto _ : state) {
     const ReachabilityGraph graph = build_reachability_graph(net);
     states = graph.system.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["graph_states"] = static_cast<double>(states);
 }
@@ -39,7 +41,7 @@ void BM_Petri_ProducerConsumer(benchmark::State& state) {
   for (auto _ : state) {
     const ReachabilityGraph graph = build_reachability_graph(net);
     states = graph.system.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["graph_states"] = static_cast<double>(states);
 }
@@ -58,7 +60,7 @@ void BM_Petri_DiningPhilosophers(benchmark::State& state) {
     const ReachabilityGraph graph = build_reachability_graph(net);
     states = graph.system.num_states();
     deadlocks = graph.deadlocks.size();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["graph_states"] = static_cast<double>(states);
   state.counters["deadlocks"] = static_cast<double>(deadlocks);
@@ -102,7 +104,7 @@ void BM_Petri_NetFormatRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     const petri::NetFile parsed = petri::parse_net(text);
     transitions = parsed.net.num_transitions();
-    benchmark::DoNotOptimize(transitions);
+    benchmark::DoNotOptimize(std::as_const(transitions));
   }
   state.counters["bytes"] = static_cast<double>(text.size());
   state.counters["transitions"] = static_cast<double>(transitions);
@@ -119,7 +121,7 @@ void BM_Petri_Figure1(benchmark::State& state) {
   for (auto _ : state) {
     const ReachabilityGraph graph = build_reachability_graph(net);
     states = graph.system.num_states();
-    benchmark::DoNotOptimize(states);
+    benchmark::DoNotOptimize(std::as_const(states));
   }
   state.counters["graph_states"] = static_cast<double>(states);
 }

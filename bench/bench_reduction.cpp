@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/relative.hpp"
 #include "rlv/fair/fair_check.hpp"
 #include "rlv/gen/families.hpp"
@@ -39,7 +41,7 @@ void BM_Reduce_RandomTranslations(benchmark::State& state) {
       before += a.num_states();
       after += reduce_buchi(a).num_states();
     }
-    benchmark::DoNotOptimize(after);
+    benchmark::DoNotOptimize(std::as_const(after));
   }
   state.counters["states_before"] = static_cast<double>(before);
   state.counters["states_after"] = static_cast<double>(after);
@@ -60,7 +62,7 @@ void BM_Simplify_RandomFormulas(benchmark::State& state) {
       before += to_pnf(f).size();
       after += simplify_ltl(f).size();
     }
-    benchmark::DoNotOptimize(after);
+    benchmark::DoNotOptimize(std::as_const(after));
   }
   state.counters["nodes_before"] = static_cast<double>(before);
   state.counters["nodes_after"] = static_cast<double>(after);
@@ -84,7 +86,7 @@ void BM_Reduce_EffectOnRelativeLiveness(benchmark::State& state) {
     Buchi property = translate_ltl(prepared, lambda);
     if (optimized) property = reduce_buchi(property);
     holds = relative_liveness(system, property).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["holds"] = holds ? 1 : 0;
 }
@@ -109,7 +111,7 @@ void BM_Fairness_WeakVsStrong(benchmark::State& state) {
                                  weak ? FairnessKind::kWeakTransition
                                       : FairnessKind::kStrongTransition)
              .all_fair_runs_satisfy;
-    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(std::as_const(ok));
   }
   state.counters["satisfied"] = ok ? 1 : 0;
 }

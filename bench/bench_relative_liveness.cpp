@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/relative.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/ltl/parser.hpp"
@@ -28,7 +30,7 @@ void BM_RelativeLiveness_ResourceServer(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = relative_liveness(system, f, lambda, algorithm).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(graph.system.num_states());
   state.counters["holds"] = holds ? 1 : 0;
@@ -48,7 +50,7 @@ void BM_RelativeLiveness_TokenRing(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = relative_liveness(system, f, lambda).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(ring.num_states());
   state.counters["holds"] = holds ? 1 : 0;
@@ -71,7 +73,7 @@ void BM_RelativeLiveness_BuggyServer(benchmark::State& state) {
   bool holds = true;
   for (auto _ : state) {
     holds = relative_liveness(system, f, lambda).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["holds"] = holds ? 1 : 0;
 }

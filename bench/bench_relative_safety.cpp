@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "rlv/core/relative.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/ltl/parser.hpp"
@@ -32,7 +34,7 @@ void BM_RelativeSafety_ResourceServer(benchmark::State& state) {
   bool holds = false;
   for (auto _ : state) {
     holds = relative_safety(system, f, lambda).holds;
-    benchmark::DoNotOptimize(holds);
+    benchmark::DoNotOptimize(std::as_const(holds));
   }
   state.counters["states"] = static_cast<double>(graph.system.num_states());
   state.counters["holds"] = holds ? 1 : 0;
@@ -70,7 +72,7 @@ void BM_OnTheFlySafety(benchmark::State& state) {
           intersect_buchi(intersect_buchi(system, closure), negated);
       empty = !find_accepting_lasso(bad).has_value();
     }
-    benchmark::DoNotOptimize(empty);
+    benchmark::DoNotOptimize(std::as_const(empty));
   }
   state.counters["states"] = static_cast<double>(graph.system.num_states());
   state.counters["holds"] = empty ? 1 : 0;

@@ -1,13 +1,16 @@
 // Experiment E14: deciding simplicity of an abstracting homomorphism
 // (Definition 6.3) — the certification step that makes the Theorem 8.2
 // transfer sound. Measured on the paper's systems, the scalable server and
-// the dining philosophers (E32).
+// the dining philosophers (E32). The subset constructions under it — the
+// determinized unfolding and the reduced image h(L) — are measured on
+// their own (E33).
 
 #include <benchmark/benchmark.h>
 
 #include "rlv/gen/families.hpp"
 #include "rlv/hom/image.hpp"
 #include "rlv/hom/simplicity.hpp"
+#include "rlv/lang/ops.hpp"
 #include "rlv/petri/reachability.hpp"
 #include "rlv/petri/scenario.hpp"
 
@@ -89,6 +92,65 @@ void BM_Simplicity_Philosophers(benchmark::State& state) {
 }
 BENCHMARK(BM_Simplicity_Philosophers)
     ->DenseRange(3, 5)
+    ->Unit(benchmark::kMillisecond);
+
+// The subset construction on the (deterministic) unfolding of
+// philosophers(n): has_maximal_words and extend_maximal_words run it.
+void BM_Determinize_Philosophers(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Nfa system =
+      build_reachability_graph(petri::philosophers_net(n).net).system;
+  std::size_t dfa_states = 0;
+  for (auto _ : state) {
+    const Dfa dfa = determinize(system);
+    benchmark::DoNotOptimize(dfa);
+    dfa_states = dfa.num_states();
+  }
+  state.counters["states"] = static_cast<double>(system.num_states());
+  state.counters["dfa_states"] = static_cast<double>(dfa_states);
+}
+BENCHMARK(BM_Determinize_Philosophers)
+    ->Name("Determinize/Philosophers")
+    ->DenseRange(5, 7)
+    ->Unit(benchmark::kMillisecond);
+
+// The image "after reduction" (Fig. 4's construction) of a system under its
+// abstraction: the hidden-closure subset construction, then minimization.
+void reduced_image(benchmark::State& state, const Nfa& system,
+                   const Homomorphism& h) {
+  std::size_t image_states = 0;
+  for (auto _ : state) {
+    const Nfa image = reduced_image_nfa(system, h);
+    benchmark::DoNotOptimize(image);
+    image_states = image.num_states();
+  }
+  state.counters["states"] = static_cast<double>(system.num_states());
+  state.counters["image_states"] = static_cast<double>(image_states);
+}
+
+// philosophers(n), #-extended as in BM_Simplicity_Philosophers.
+void BM_ReducedImage_Philosophers(benchmark::State& state) {
+  const petri::NetFile file =
+      petri::philosophers_net(static_cast<std::size_t>(state.range(0)));
+  const Nfa system =
+      extend_maximal_words(build_reachability_graph(file.net).system);
+  reduced_image(state, system,
+                petri::derive_abstraction(system.alphabet(), file.hidden));
+}
+BENCHMARK(BM_ReducedImage_Philosophers)
+    ->Name("ReducedImage/Philosophers")
+    ->DenseRange(5, 7)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ReducedImage_ResourceServer(benchmark::State& state) {
+  const Nfa system = build_reachability_graph(resource_server_net(
+                         static_cast<std::size_t>(state.range(0))))
+                         .system;
+  reduced_image(state, system, resource_server_abstraction(system.alphabet()));
+}
+BENCHMARK(BM_ReducedImage_ResourceServer)
+    ->Name("ReducedImage/ResourceServer")
+    ->DenseRange(2, 5)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -45,16 +45,17 @@ bool has_maximal_words(const Nfa& nfa) {
 }
 
 bool hides_divergence(const Nfa& system, const Homomorphism& h) {
-  const Nfa trimmed = trim(system);
-  // Hidden-only successor graph; any cycle in it (non-trivial SCC or
-  // hidden self-loop) witnesses an infinite all-ε continuation.
-  std::vector<std::vector<std::uint32_t>> succ(trimmed.num_states());
-  const std::size_t sigma = trimmed.alphabet()->size();
-  for (State s = 0; s < trimmed.num_states(); ++s) {
-    for (Symbol a = 0; a < sigma; ++a) {
-      if (!h.hides(a)) continue;
-      for (const State t : trimmed.successors(s, a)) {
-        succ[s].push_back(t);
+  // Hidden-only successor graph of the useful (reachable and productive)
+  // states; any cycle in it (non-trivial SCC or hidden self-loop) witnesses
+  // an infinite all-ε continuation.
+  DynBitset useful = system.reachable();
+  useful &= system.productive();
+  std::vector<std::vector<std::uint32_t>> succ(system.num_states());
+  for (State s = 0; s < system.num_states(); ++s) {
+    if (!useful.test(s)) continue;
+    for (const Transition& t : system.out(s)) {
+      if (h.hides(t.symbol) && useful.test(t.target)) {
+        succ[s].push_back(t.target);
       }
     }
   }

@@ -59,7 +59,9 @@ Nfa image_nfa(const Nfa& nfa, const Homomorphism& h) {
 }
 
 Nfa reduced_image_nfa(const Nfa& nfa, const Homomorphism& h) {
-  return trim(minimize(determinize(image_nfa(nfa, h))).to_nfa());
+  if (nfa.initial().empty()) return Nfa(h.target());
+  const Dfa image = determinize_from(nfa, {&nfa.initial(), 1}, &h).dfa;
+  return trim(minimize(image).to_nfa());
 }
 
 Nfa inverse_image_nfa(const Nfa& target_nfa, const Homomorphism& h) {

@@ -1,9 +1,14 @@
 #pragma once
 
-// Homomorphic images and inverse images of automata. The image construction
-// is how the paper's "abstract behavior" (Definition 6.2) is computed: apply
-// h to every transition label, then eliminate the resulting ε-transitions —
-// exactly the reduction that turns Figure 2 (or 3) into Figure 4.
+// Homomorphic images and inverse images of automata. The image is how the
+// paper's "abstract behavior" (Definition 6.2) is computed, the reduction
+// that turns Figure 2 (or 3) into Figure 4. image_nfa() builds it the
+// textbook way: apply h to every transition label, then eliminate the
+// resulting ε-transitions; tests and rlv_fuzz use it as the reference. The
+// reduced image skips that NFA: one subset construction over the system
+// itself steps each target letter through its source letters and closes
+// every subset under the hidden ones (determinize_from, lang/ops.hpp), so
+// it costs what its subsets hold rather than an n×n closure.
 
 #include "rlv/hom/homomorphism.hpp"
 #include "rlv/lang/nfa.hpp"
@@ -11,11 +16,14 @@
 namespace rlv {
 
 /// NFA over Σ' accepting h(L(nfa)). ε-transitions produced by hidden letters
-/// are eliminated by closure; the result is trimmed.
+/// are eliminated by closure; the result is trimmed. Quadratic in the state
+/// count (one closure set per state): the reference construction, not the
+/// pipeline's.
 [[nodiscard]] Nfa image_nfa(const Nfa& nfa, const Homomorphism& h);
 
 /// The image "after reduction" (the paper's phrasing for Figure 4): the
-/// minimal deterministic automaton of h(L(nfa)), returned as an NFA. For
+/// minimal deterministic automaton of h(L(nfa)), returned as an NFA, built
+/// by the hidden-closure subset construction and minimization. For
 /// prefix-closed inputs the result is again all-accepting, so it can be fed
 /// straight back into limit_of_prefix_closed.
 [[nodiscard]] Nfa reduced_image_nfa(const Nfa& nfa, const Homomorphism& h);

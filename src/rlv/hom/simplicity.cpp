@@ -2,11 +2,11 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "rlv/hom/image.hpp"
 #include "rlv/lang/dfa.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/util/intern.hpp"
@@ -102,27 +102,21 @@ SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h,
   }
   const Dfa dl = minimize(determinize(trimmed, budget), budget);
 
-  // One image automaton in two disjoint parts: h(L), read off the trimmed
-  // system, and the image of DL with every state initial — which keeps DL's
-  // state ids, since trim drops nothing (each state is initial, and
-  // productive as in DL). One subset construction from the root of h(L) and
-  // the singletons {q} then gives D: state 0 indexes cont(h(ε), h(L)), the
-  // states reached from it index every cont(h(w), h(L)), and state 1 + q
-  // accepts h(cont(w, L)) for the words w that reach q.
-  const Nfa abstract = image_nfa(trimmed, h);
-  Nfa all_initial = dl.to_nfa();
-  for (State q = 0; q < dl.num_states(); ++q) {
-    if (q != dl.initial()) all_initial.set_initial(q);
-  }
-  const Nfa residuals = image_nfa(all_initial, h);
-  assert(residuals.num_states() == dl.num_states());
-  std::vector<std::vector<State>> roots{abstract.initial()};
-  const auto offset = static_cast<State>(abstract.num_states());
+  // One automaton in two disjoint parts: the trimmed system and DL. One
+  // subset construction of its image, closed under hidden letters, then
+  // gives D: from the root closure(initial), D's states index every
+  // cont(h(w), h(L)); from the root closure({q}), state residual[q] accepts
+  // h(cont(w, L)) for the words w that reach q. Two DL states with equal
+  // closures share a root.
+  const Nfa joint = union_nfa(trimmed, dl.to_nfa());
+  std::vector<std::vector<State>> roots{trimmed.initial()};
+  const auto offset = static_cast<State>(trimmed.num_states());
   for (State q = 0; q < dl.num_states(); ++q) roots.push_back({offset + q});
-  const Dfa partial =
-      determinize_from(union_nfa(abstract, residuals), roots, budget);
-  const Dfa d = partial.complete();
-  const State dead = d.num_states() > partial.num_states()
+  const RootedDfa image = determinize_from(joint, roots, &h, budget);
+  const std::span<const State> residual(image.roots.begin() + 1,
+                                        image.roots.end());
+  const Dfa d = image.dfa.complete();
+  const State dead = d.num_states() > image.dfa.num_states()
                          ? static_cast<State>(d.num_states() - 1)
                          : kNoState;
   WitnessSearch search(d, dead, budget);
@@ -149,7 +143,7 @@ SimplicityResult check_simplicity(const Nfa& nfa, const Homomorphism& h,
   for (std::uint32_t i = 0; i < items.size(); ++i) {
     ++result.pairs_checked;
     const Item item = items[i];
-    if (!search.winning(item.s, 1 + item.q)) {
+    if (!search.winning(item.s, residual[item.q])) {
       Word w;
       for (std::uint32_t j = i; j != 0; j = items[j].parent) {
         w.push_back(items[j].symbol);

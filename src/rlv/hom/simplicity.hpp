@@ -19,9 +19,10 @@
 // h(cont(w, L)) for a pair of states with equal residual languages. Each
 // piece is built once per call:
 //
-//   * one subset construction yields both sides: it starts from the image
-//     of L and from the singletons {q} of the image of DL, so subsets
-//     common to several residuals are built once;
+//   * one subset construction of the image, closing each subset under
+//     hidden letters as it goes, yields both sides: it starts from the
+//     closure of L's initial states and from the closure of each state q
+//     of DL, so subsets common to several residuals are built once;
 //   * residual equality is one comparison of Myhill–Nerode classes,
 //     computed once (Hopcroft) over that DFA;
 //   * product pairs found to reach an equal pair stay marked winning, so a

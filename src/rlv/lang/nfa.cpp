@@ -194,12 +194,21 @@ DynBitset Nfa::reachable() const {
 }
 
 DynBitset Nfa::productive() const {
-  // Backward reachability from accepting states over reversed edges.
-  std::vector<std::vector<State>> pred(num_states());
-  for (State s = 0; s < num_states(); ++s) {
-    for (const Transition& t : out(s)) pred[t.target].push_back(s);
+  // Backward reachability from accepting states over reversed edges, the
+  // predecessors of t counting-sorted into pred[pred_begin[t] ..
+  // pred_begin[t + 1]).
+  const std::size_t n = num_states();
+  std::vector<std::uint32_t> pred_begin(n + 1, 0);
+  for (State s = 0; s < n; ++s) {
+    for (const Transition& t : out(s)) ++pred_begin[t.target + 1];
   }
-  DynBitset seen(num_states());
+  for (std::size_t i = 0; i < n; ++i) pred_begin[i + 1] += pred_begin[i];
+  std::vector<State> pred(pred_begin[n]);
+  std::vector<std::uint32_t> fill(pred_begin.begin(), pred_begin.end() - 1);
+  for (State s = 0; s < n; ++s) {
+    for (const Transition& t : out(s)) pred[fill[t.target]++] = s;
+  }
+  DynBitset seen(n);
   std::vector<State> work;
   for (State s = 0; s < num_states(); ++s) {
     if (accepting_[s]) {
@@ -210,7 +219,8 @@ DynBitset Nfa::productive() const {
   while (!work.empty()) {
     const State s = work.back();
     work.pop_back();
-    for (const State p : pred[s]) {
+    for (std::uint32_t i = pred_begin[s]; i < pred_begin[s + 1]; ++i) {
+      const State p = pred[i];
       if (!seen.test(p)) {
         seen.set(p);
         work.push_back(p);

@@ -18,8 +18,9 @@
 // builders should finish construction before handing the automaton to a
 // kernel. Reads are thread-safe after the index exists or when the first
 // concurrent readers race to build it (double-checked lock); mutation is
-// never thread-safe, as before. No ε-moves at this layer (homomorphic
-// images perform ε-elimination eagerly, see rlv/hom/image.hpp).
+// never thread-safe, as before. No ε-moves at this layer: homomorphic
+// images either ε-eliminate eagerly (image_nfa, rlv/hom/image.hpp) or close
+// subsets under hidden letters while determinizing (determinize_from).
 
 #include <atomic>
 #include <cstdint>

@@ -10,6 +10,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+// Only Homomorphism's inline letter map is used: rlv_lang does not link
+// rlv_hom.
+#include "rlv/hom/homomorphism.hpp"
 #include "rlv/util/hash.hpp"
 #include "rlv/util/intern.hpp"
 
@@ -24,38 +27,64 @@ Dfa determinize(const Nfa& nfa, Budget* budget) {
     dfa.set_initial(s);
     return dfa;
   }
-  return determinize_from(nfa, {&nfa.initial(), 1}, budget);
+  return determinize_from(nfa, {&nfa.initial(), 1}, nullptr, budget).dfa;
 }
 
-Dfa determinize_from(const Nfa& nfa, std::span<const std::vector<State>> roots,
-                     Budget* budget) {
-  Dfa dfa(nfa.alphabet());
-  const std::size_t n = nfa.num_states();
-  const std::size_t sigma = nfa.alphabet()->size();
+RootedDfa determinize_from(const Nfa& nfa,
+                           std::span<const std::vector<State>> roots,
+                           const Homomorphism* h, Budget* budget) {
+  assert(h == nullptr || h->source() == nfa.alphabet());
   nfa.finalize();
+  const std::size_t sigma_in = nfa.alphabet()->size();
+  RootedDfa out{Dfa(h != nullptr ? h->target() : nfa.alphabet()), {}};
+  Dfa& dfa = out.dfa;
 
-  // Subset states live interned in one contiguous word array; DFA state ids
-  // are the dense intern ids (first-seen order, so the numbering matches the
-  // classical worklist construction). The two scratch buffers are the only
-  // per-step allocations.
-  BitsetInterner interner(n);
-  const DynBitset acc_set = nfa.accepting_set();
-  const std::size_t words_per = interner.words_per();
-  std::vector<std::uint64_t> cur(words_per, 0);
-  std::vector<std::uint64_t> nxt(words_per, 0);
-
-  auto accepts_words = [&](const std::uint64_t* w) {
-    for (std::size_t i = 0; i < words_per; ++i) {
-      if ((w[i] & acc_set.words_data()[i]) != 0) return true;
+  // The DFA letter of each source letter, kHidden for h's hidden ones, and
+  // the hidden edges alone, in CSR form, for the closure.
+  constexpr Symbol kHidden = 0xffffffffU;
+  std::vector<Symbol> letter_of(sigma_in);
+  for (Symbol a = 0; a < sigma_in; ++a) {
+    letter_of[a] = h == nullptr ? a : h->apply(a).value_or(kHidden);
+  }
+  std::vector<std::uint32_t> hidden_begin(nfa.num_states() + 1, 0);
+  std::vector<State> hidden_to;
+  for (State s = 0; s < nfa.num_states(); ++s) {
+    for (const Transition& t : nfa.out(s)) {
+      if (letter_of[t.symbol] == kHidden) hidden_to.push_back(t.target);
     }
-    return false;
-  };
+    hidden_begin[s + 1] = static_cast<std::uint32_t>(hidden_to.size());
+  }
 
-  auto intern = [&](const std::uint64_t* w) -> State {
-    const auto [id, fresh] = interner.intern(w);
+  // DFA state d is subset d.
+  ListInterner subsets;
+  std::vector<State> next;  // the subset being built
+  std::vector<std::uint32_t> mark(nfa.num_states(), 0);
+  std::uint32_t stamp = 0;  // mark[s] == stamp: s is in `next`
+
+  // Interns `targets`, closed under hidden edges, as a sorted subset.
+  auto intern = [&](std::span<const State> targets) -> State {
+    ++stamp;
+    next.clear();
+    auto add = [&](State s) {
+      if (mark[s] == stamp) return;
+      mark[s] = stamp;
+      next.push_back(s);
+    };
+    for (const State s : targets) add(s);
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      for (std::uint32_t e = hidden_begin[next[i]];
+           e < hidden_begin[next[i] + 1]; ++e) {
+        add(hidden_to[e]);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    const auto [id, fresh] = subsets.intern(next);
     if (fresh) {
       budget_charge(budget);
-      [[maybe_unused]] const State d = dfa.add_state(accepts_words(w));
+      const bool accepting = std::any_of(
+          next.begin(), next.end(),
+          [&](State s) { return nfa.is_accepting(s); });
+      [[maybe_unused]] const State d = dfa.add_state(accepting);
       assert(d == id);
     }
     return id;
@@ -63,27 +92,29 @@ Dfa determinize_from(const Nfa& nfa, std::span<const std::vector<State>> roots,
 
   for (const std::vector<State>& root : roots) {
     assert(!root.empty());
-    std::fill(nxt.begin(), nxt.end(), 0);
-    for (const State s : root) nxt[s / 64] |= std::uint64_t{1} << (s % 64);
-    const State d = intern(nxt.data());
-    if (dfa.initial() == kNoState) dfa.set_initial(d);
+    out.roots.push_back(intern(root));
   }
+  if (!out.roots.empty()) dfa.set_initial(out.roots.front());
 
-  for (State d = 0; d < interner.size(); ++d) {
-    // The interner grows while we iterate (and its word pointers move), so
-    // the current subset is staged into `cur` first.
-    std::copy(interner.words(d), interner.words(d) + words_per, cur.begin());
-    for (Symbol a = 0; a < sigma; ++a) {
-      nfa.step_words(cur.data(), a, nxt.data());
-      bool empty = true;
-      for (std::size_t i = 0; i < words_per && empty; ++i) {
-        empty = nxt[i] == 0;
+  // One pass over the out-edges of a subset sorts their targets into one
+  // bucket per DFA letter; interning starts once the pass is done, as it
+  // invalidates the subset's span.
+  std::vector<std::vector<State>> bucket(dfa.alphabet()->size());
+  for (State d = 0; d < dfa.num_states(); ++d) {
+    for (const State s : subsets.list(d)) {
+      for (const Transition& t : nfa.out(s)) {
+        if (letter_of[t.symbol] != kHidden) {
+          bucket[letter_of[t.symbol]].push_back(t.target);
+        }
       }
-      if (empty) continue;
-      dfa.set_transition(d, a, intern(nxt.data()));
+    }
+    for (Symbol c = 0; c < bucket.size(); ++c) {
+      if (bucket[c].empty()) continue;
+      dfa.set_transition(d, c, intern(bucket[c]));
+      bucket[c].clear();
     }
   }
-  return dfa;
+  return out;
 }
 
 namespace {

@@ -16,20 +16,37 @@
 
 namespace rlv {
 
+class Homomorphism;
+
 /// Subset construction. Only reachable, non-empty subsets become states, so
 /// the result is a partial DFA for the same language. Exponential in the
 /// worst case; each subset-state built is charged to `budget` (under the
 /// caller's current stage).
 [[nodiscard]] Dfa determinize(const Nfa& nfa, Budget* budget = nullptr);
 
+/// A DFA built from several roots, with the DFA state of each root.
+struct RootedDfa {
+  Dfa dfa;
+  std::vector<State> roots;  // root i ↦ its DFA state
+};
+
 /// Subset construction started from several subsets at once, sharing
 /// every subset the roots reach in common. Each root is a non-empty set of
-/// NFA states; with distinct roots, root i becomes DFA state i. The first
-/// root is the initial state. Charges `budget` like determinize(), which is
-/// this construction from the single root `nfa.initial()`.
-[[nodiscard]] Dfa determinize_from(const Nfa& nfa,
-                                   std::span<const std::vector<State>> roots,
-                                   Budget* budget = nullptr);
+/// NFA states; roots that name the same subset share a DFA state, and the
+/// first root's state is the initial one. Subsets are kept as sorted state
+/// lists, so a step costs the edges leaving its subset, not the NFA's size.
+/// DFA states are numbered in first-seen order (roots first, then each
+/// state's successors letter by letter), and determinize() is this
+/// construction from the single root `nfa.initial()`.
+///
+/// With `h` (whose source must be the NFA's alphabet) the result is a DFA
+/// over h's target for h(L) instead, without ε-eliminating first: every
+/// subset, roots included, is closed under h's hidden letters, and a
+/// target letter steps through each of its source letters. Charges
+/// `budget` one state per subset built, under the caller's current stage.
+[[nodiscard]] RootedDfa determinize_from(
+    const Nfa& nfa, std::span<const std::vector<State>> roots,
+    const Homomorphism* h = nullptr, Budget* budget = nullptr);
 
 /// Myhill–Nerode classes of a complete DFA's states, by Hopcroft's
 /// partition refinement: class_of[s] == class_of[t] iff the languages read

@@ -16,14 +16,19 @@
 //     a subset construction) into one contiguous word array, handing out
 //     dense ids. Configurations then carry a 4-byte id instead of an owned
 //     bitset, and equality is id comparison.
+//   * ListInterner — interns variable-length sorted lists (the subsets of
+//     the sparse subset construction, see lang/ops.cpp) the same way.
 //   * U64KeySet — a flat hash set of 64-bit keys (e.g. packed
 //     (left state, interned right id) pairs) for visited-set dedup.
 //
 // None of these are thread-safe; parallel kernels keep per-worker or
 // lock-striped structures (see lang/inclusion.cpp).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace rlv {
@@ -162,6 +167,42 @@ class BitsetInterner {
   std::size_t bits_;
   std::size_t words_per_;
   std::vector<std::uint64_t> storage_;  // size() * words_per_
+  IdTable table_;
+};
+
+/// Interns variable-length lists of 32-bit values (sorted state sets of a
+/// sparse subset construction) into one contiguous array, handing out dense
+/// ids in first-seen order. Equal lists get equal ids.
+class ListInterner {
+ public:
+  [[nodiscard]] std::size_t size() const { return begin_.size() - 1; }
+
+  /// The list of an interned id. Invalidated by the next intern().
+  [[nodiscard]] std::span<const std::uint32_t> list(std::uint32_t id) const {
+    return {items_.data() + begin_[id], items_.data() + begin_[id + 1]};
+  }
+
+  /// Interns `list`. Returns (id, fresh).
+  std::pair<std::uint32_t, bool> intern(std::span<const std::uint32_t> list) {
+    const std::size_t h = hash_words(list.data(), list.size());
+    const std::uint32_t found = table_.find(h, [&](std::uint32_t id) {
+      return std::ranges::equal(this->list(id), list);
+    });
+    if (found != IdTable::kNoId) return {found, false};
+    const auto id = static_cast<std::uint32_t>(size());
+    items_.insert(items_.end(), list.begin(), list.end());
+    begin_.push_back(static_cast<std::uint32_t>(items_.size()));
+    table_.insert(h, id, [&](std::uint32_t x) {
+      const std::span<const std::uint32_t> stored = this->list(x);
+      return hash_words(stored.data(), stored.size());
+    });
+    return {id, true};
+  }
+
+ private:
+  // List i is items_[begin_[i], begin_[i + 1]).
+  std::vector<std::uint32_t> items_;
+  std::vector<std::uint32_t> begin_{0};
   IdTable table_;
 };
 

@@ -124,6 +124,29 @@ TEST(BitsetInterner, SubsetTest) {
   EXPECT_TRUE(interner.is_subset(a, a));
 }
 
+TEST(ListInterner, DedupesListsOfAnyLengthAcrossGrowth) {
+  // Runs of lengths 0..4 from 100 start values: 401 distinct lists (one of
+  // them empty), enough to grow the id table past its initial 64 slots.
+  ListInterner interner;
+  auto make = [](std::uint32_t i) {
+    std::vector<std::uint32_t> list;
+    for (std::uint32_t k = 0; k < i % 5; ++k) list.push_back(i / 5 + k);
+    return list;
+  };
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    const auto [id, fresh] = interner.intern(make(i));
+    EXPECT_TRUE(fresh || make(i).empty()) << i;  // one empty list in all
+    EXPECT_TRUE(std::ranges::equal(interner.list(id), make(i))) << i;
+  }
+  EXPECT_EQ(interner.size(), 401u);
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    const auto [id, fresh] = interner.intern(make(i));
+    EXPECT_FALSE(fresh) << i;
+    EXPECT_TRUE(std::ranges::equal(interner.list(id), make(i))) << i;
+  }
+  EXPECT_EQ(interner.size(), 401u);
+}
+
 TEST(U64KeySet, InsertContainsGrow) {
   U64KeySet set;
   for (std::uint64_t k = 0; k < 1000; ++k) {

@@ -7,13 +7,18 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
+#include "rlv/gen/families.hpp"
 #include "rlv/lang/alphabet.hpp"
 #include "rlv/lang/dfa.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/nfa.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/lang/quotient.hpp"
+#include "rlv/petri/reachability.hpp"
+#include "rlv/petri/scenario.hpp"
+#include "rlv/util/intern.hpp"
 #include "rlv/util/rng.hpp"
 
 namespace rlv {
@@ -153,6 +158,86 @@ TEST(Determinize, EmptyLanguage) {
   const Dfa dfa = determinize(nfa);
   EXPECT_FALSE(dfa.accepts({}));
   EXPECT_FALSE(dfa.accepts(word({"a"})));
+}
+
+/// Test-only copy of the dense subset construction determinize() ran before
+/// subsets became sorted state lists: every subset an n-bit block interned
+/// through BitsetInterner, DFA states numbered in first-seen order.
+Dfa dense_determinize(const Nfa& nfa) {
+  Dfa dfa(nfa.alphabet());
+  const std::size_t sigma = nfa.alphabet()->size();
+  nfa.finalize();
+  BitsetInterner interner(nfa.num_states());
+  const DynBitset acc_set = nfa.accepting_set();
+  const std::size_t words_per = interner.words_per();
+  std::vector<std::uint64_t> cur(words_per, 0);
+  std::vector<std::uint64_t> nxt(words_per, 0);
+  auto intern = [&](const std::uint64_t* w) -> State {
+    const auto [id, fresh] = interner.intern(w);
+    if (fresh) {
+      bool accepting = false;
+      for (std::size_t i = 0; i < words_per; ++i) {
+        accepting = accepting || (w[i] & acc_set.words_data()[i]) != 0;
+      }
+      dfa.add_state(accepting);
+    }
+    return id;
+  };
+  for (const State s : nfa.initial()) {
+    nxt[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  dfa.set_initial(intern(nxt.data()));
+  for (State d = 0; d < interner.size(); ++d) {
+    std::copy(interner.words(d), interner.words(d) + words_per, cur.begin());
+    for (Symbol a = 0; a < sigma; ++a) {
+      nfa.step_words(cur.data(), a, nxt.data());
+      if (std::all_of(nxt.begin(), nxt.end(),
+                      [](std::uint64_t w) { return w == 0; })) {
+        continue;
+      }
+      dfa.set_transition(d, a, intern(nxt.data()));
+    }
+  }
+  return dfa;
+}
+
+/// The two DFAs agree state for state: numbering, acceptance, transitions.
+void expect_same_dfa(const Dfa& got, const Dfa& want, const std::string& what) {
+  ASSERT_EQ(got.num_states(), want.num_states()) << what;
+  EXPECT_EQ(got.initial(), want.initial()) << what;
+  for (State s = 0; s < want.num_states(); ++s) {
+    EXPECT_EQ(got.is_accepting(s), want.is_accepting(s)) << what << " " << s;
+    for (Symbol a = 0; a < want.alphabet()->size(); ++a) {
+      ASSERT_EQ(got.next(s, a), want.next(s, a)) << what << " " << s;
+    }
+  }
+}
+
+TEST(Determinize, MatchesDenseConstructionOnRandomNfas) {
+  // Up to 64 states over {a, b}, sometimes with several initial states.
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed * 104729 + 11);
+    Nfa nfa = random_nfa(rng, 1 + rng.next_below(64));
+    for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+      nfa.set_initial(static_cast<State>(rng.next_below(nfa.num_states())));
+    }
+    expect_same_dfa(determinize(nfa), dense_determinize(nfa),
+                    "seed " + std::to_string(seed));
+  }
+}
+
+TEST(Determinize, MatchesDenseConstructionOnUnfoldings) {
+  for (std::size_t n = 3; n <= 6; ++n) {
+    const Nfa system =
+        build_reachability_graph(petri::philosophers_net(n).net).system;
+    expect_same_dfa(determinize(system), dense_determinize(system),
+                    "philosophers " + std::to_string(n));
+  }
+  for (std::size_t n = 2; n <= 4; ++n) {
+    const Nfa system = build_reachability_graph(resource_server_net(n)).system;
+    expect_same_dfa(determinize(system), dense_determinize(system),
+                    "resource_server " + std::to_string(n));
+  }
 }
 
 TEST(Minimize, EndsWithAHasTwoStates) {
